@@ -125,10 +125,10 @@ sharedBuffer()
 void
 BM_ParallelLineSweeps(benchmark::State &state)
 {
-    // Line sizes 8..64 → five covered sweeps (SimBank also covers
-    // the 4-byte minimum for dilation interpolation), fanned out on
-    // a pool of jobs workers. Results are identical for every job
-    // count; only wall-clock time changes.
+    // Line sizes 8..64 plus the 4-byte minimum → five sweeps (the
+    // instruction-side bank, which the dilation model interpolates
+    // in), fanned out on a pool of jobs workers. Results are
+    // identical for every job count; only wall-clock time changes.
     dse::CacheSpace space;
     space.sizesBytes = {2048, 4096, 8192, 16384};
     space.assocs = {1, 2, 4};
@@ -136,16 +136,16 @@ BM_ParallelLineSweeps(benchmark::State &state)
 
     const auto jobs = static_cast<unsigned>(state.range(0));
     support::ThreadPool pool(jobs - 1);
+    const auto lines = dse::SimBank::contractedLines(space);
     const auto &buffer = sharedBuffer();
     for (auto _ : state) {
-        dse::SimBank bank(space);
+        dse::SimBank bank(space, lines);
         bank.simulate(buffer, &pool);
         benchmark::DoNotOptimize(
             bank.misses(cache::CacheConfig{128, 2, 32}));
     }
     state.SetItemsProcessed(static_cast<int64_t>(
-        state.iterations() * buffer.size() *
-        dse::SimBank(space).simRuns()));
+        state.iterations() * buffer.size() * lines.size()));
 }
 
 /**

@@ -132,17 +132,6 @@ sweepSpace()
     return space;
 }
 
-/** Line sizes the SimBank covers for this space, 4B word upward. */
-std::vector<uint32_t>
-coveredLines(const dse::CacheSpace &space)
-{
-    std::vector<uint32_t> lines;
-    for (uint32_t line = dse::SimBank::minCoveredLine;
-         line <= space.distinctLineSizes().back(); line *= 2)
-        lines.push_back(line);
-    return lines;
-}
-
 const std::vector<trace::Access> &
 sharedRowTrace()
 {
@@ -178,7 +167,7 @@ void
 BM_LegacyLineSweeps(benchmark::State &state)
 {
     auto space = sweepSpace();
-    const auto lines = coveredLines(space);
+    const auto lines = dse::SimBank::contractedLines(space);
     const auto &rows = sharedRowTrace();
     for (auto _ : state) {
         uint64_t total = 0;
@@ -201,16 +190,18 @@ BM_ColumnarLineSweeps(benchmark::State &state)
     auto space = sweepSpace();
     const auto jobs = static_cast<unsigned>(state.range(0));
     support::ThreadPool pool(jobs - 1);
+    // The instruction-side bank: every line from 4B up, the same
+    // sweeps the legacy benchmark above replays.
+    const auto lines = dse::SimBank::contractedLines(space);
     const auto &buffer = sharedColumnarTrace();
     for (auto _ : state) {
-        dse::SimBank bank(space);
+        dse::SimBank bank(space, lines);
         bank.simulate(buffer, jobs > 1 ? &pool : nullptr);
         benchmark::DoNotOptimize(
             bank.misses(cache::CacheConfig{128, 2, 32}));
     }
     state.SetItemsProcessed(static_cast<int64_t>(
-        state.iterations() * buffer.size() *
-        dse::SimBank(space).simRuns()));
+        state.iterations() * buffer.size() * lines.size()));
 }
 
 /** Harvests every finished run's adjusted real time. */
@@ -251,11 +242,12 @@ int
 verifyBitIdentical()
 {
     auto space = sweepSpace();
-    dse::SimBank bank(space);
+    const auto lines = dse::SimBank::contractedLines(space);
+    dse::SimBank bank(space, lines);
     bank.simulate(sharedColumnarTrace(), nullptr);
 
     int mismatches = 0;
-    for (uint32_t line : coveredLines(space)) {
+    for (uint32_t line : lines) {
         LegacySinglePassSim legacy(line, space.minSets(),
                                    space.maxSets(),
                                    space.maxAssoc());

@@ -113,7 +113,9 @@ main(int argc, char **argv)
                   TextTable::num(exhaustive, 1)});
     table.addRow(
         {"hierarchical (single-pass per line size, 1 processor)",
-         std::to_string(ieval.bank().simRuns() + 5 + 6),
+         std::to_string(ieval.bank().simRuns() +
+                        deval.bank().simRuns() +
+                        ueval.bank().simRuns()),
          TextTable::num(hierarchical, 1)});
     table.addRow({"+ all 40x" + std::to_string(caches_per_type) +
                       " model queries",

@@ -144,8 +144,9 @@ main(int argc, char **argv)
          app.traceFor("1111", trace::TraceKind::Instruction))
         buffer(a);
 
+    // The instruction-side bank (lines 4..64), the largest L1 bank.
     dse::CacheSpace space = dse::CacheSpace::defaultL1Space();
-    dse::SimBank bank(space);
+    dse::SimBank bank(space, dse::SimBank::contractedLines(space));
 
     // Warm up caches and the trace buffer before either side.
     bank.simulate(buffer, nullptr);

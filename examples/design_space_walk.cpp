@@ -40,9 +40,13 @@
  *   --write-cost N      stall cycles per memory write (dirty-line
  *            writeback or store write-through; default 0 = classic
  *            read-only stall model)
- * Flags accept both `--flag value` and `--flag=value`.
+ * Flags accept both `--flag value` and `--flag=value`. Bad usage (an
+ * unknown flag or app, a malformed number or policy) prints the usage
+ * line and exits 2; --help prints it and exits 0.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -51,6 +55,7 @@
 #include "cache/Policy.hpp"
 #include "dse/Spacewalker.hpp"
 #include "support/CancelToken.hpp"
+#include "support/Logging.hpp"
 #include "support/Metrics.hpp"
 #include "support/RunReport.hpp"
 #include "support/Table.hpp"
@@ -80,6 +85,33 @@ flagValue(int argc, char **argv, int &i, const std::string &flag,
     return false;
 }
 
+constexpr const char *usageLine =
+    "usage: design_space_walk [app] [--jobs N] [--verify[=0|1]] "
+    "[--metrics-out FILE] [--trace-out FILE] [--cache FILE] "
+    "[--timeout-ms N] [--replacement lru,fifo,rand] [--write wb,wt] "
+    "[--write-cost N]";
+
+/** Upper bound of --jobs; far above any core count. */
+constexpr uint64_t maxJobs = 1024;
+
+/** Report bad usage on stderr; returns the bad-usage exit code. */
+int
+badUsage(const std::string &why)
+{
+    std::cerr << "design_space_walk: " << why << "\n"
+              << usageLine << "\n";
+    return 2;
+}
+
+/** Parse a whole decimal count (no sign, no junk, no overflow). */
+bool
+parseCount(const std::string &text, uint64_t &out)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
 /** Split a comma-separated list into its non-empty items. */
 std::vector<std::string>
 splitList(const std::string &text)
@@ -105,6 +137,7 @@ int
 main(int argc, char **argv)
 {
     std::string app_name = "rasta";
+    bool app_given = false;
     unsigned jobs = 1;
     int verify = -1;
     uint64_t timeout_ms = 0;
@@ -113,36 +146,80 @@ main(int argc, char **argv)
     std::vector<cache::WritePolicy> write_policies;
     std::string metrics_out, trace_out, cache_path, value;
     for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            std::cout << usageLine << "\n";
+            return 0;
+        }
         if (flagValue(argc, argv, i, "--jobs", value)) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
+            uint64_t n = 0;
+            if (!parseCount(value, n) || n > maxJobs)
+                return badUsage("--jobs takes a count from 0 to " +
+                                std::to_string(maxJobs) + ", not '" +
+                                value + "'");
+            jobs = static_cast<unsigned>(n);
         } else if (flagValue(argc, argv, i, "--timeout-ms", value)) {
-            timeout_ms = std::strtoull(value.c_str(), nullptr, 10);
+            if (!parseCount(value, timeout_ms))
+                return badUsage("--timeout-ms takes a count, not '" +
+                                value + "'");
         } else if (flagValue(argc, argv, i, "--replacement",
                              value)) {
-            for (const auto &item : splitList(value))
-                replacements.push_back(cache::parseReplacement(item));
+            try {
+                for (const auto &item : splitList(value))
+                    replacements.push_back(
+                        cache::parseReplacement(item));
+            } catch (const FatalError &) {
+                // fatal() has already named the bad item.
+                return badUsage("bad --replacement list '" + value +
+                                "'");
+            }
         } else if (flagValue(argc, argv, i, "--write", value)) {
-            for (const auto &item : splitList(value))
-                write_policies.push_back(
-                    cache::parseWritePolicy(item));
+            try {
+                for (const auto &item : splitList(value))
+                    write_policies.push_back(
+                        cache::parseWritePolicy(item));
+            } catch (const FatalError &) {
+                return badUsage("bad --write list '" + value + "'");
+            }
         } else if (flagValue(argc, argv, i, "--write-cost", value)) {
-            write_cost = std::strtod(value.c_str(), nullptr);
-        } else if (std::string(argv[i]) == "--verify") {
+            char *end = nullptr;
+            write_cost = std::strtod(value.c_str(), &end);
+            if (value.empty() || *end != '\0' ||
+                !std::isfinite(write_cost) || write_cost < 0.0)
+                return badUsage("--write-cost takes a non-negative "
+                                "number, not '" +
+                                value + "'");
+        } else if (arg == "--verify") {
             verify = 1;
-        } else if (std::string(argv[i]).rfind("--verify=", 0) == 0) {
+        } else if (arg.rfind("--verify=", 0) == 0) {
             // `=value` form only: a bare `--verify` must not eat
             // the app-name argument.
-            verify = std::string(argv[i]).substr(9) == "0" ? 0 : 1;
+            std::string v = arg.substr(9);
+            if (v != "0" && v != "1")
+                return badUsage("--verify= takes 0 or 1, not '" + v +
+                                "'");
+            verify = v == "1" ? 1 : 0;
         } else if (flagValue(argc, argv, i, "--metrics-out",
                              metrics_out) ||
                    flagValue(argc, argv, i, "--trace-out",
                              trace_out) ||
                    flagValue(argc, argv, i, "--cache", cache_path)) {
             // value captured by flagValue
+        } else if (arg.rfind("-", 0) == 0) {
+            return badUsage("unknown or incomplete flag '" + arg +
+                            "'");
+        } else if (app_given) {
+            return badUsage("unexpected argument '" + arg + "'");
         } else {
-            app_name = argv[i];
+            app_name = arg;
+            app_given = true;
         }
+    }
+    workloads::AppSpec spec;
+    try {
+        spec = workloads::specByName(app_name);
+    } catch (const FatalError &) {
+        return badUsage("unknown app '" + app_name + "'");
     }
     // Instrumentation is opt-in: without the flags the walk runs
     // with the registry disabled (a relaxed load per call site).
@@ -150,8 +227,7 @@ main(int argc, char **argv)
         support::setMetricsEnabled(true);
     if (!trace_out.empty())
         support::setTraceEnabled(true);
-    auto prog = workloads::buildAndProfile(
-        workloads::specByName(app_name));
+    auto prog = workloads::buildAndProfile(spec);
 
     // Processor space: every FU mix from narrow to wide.
     std::vector<std::string> machines = {"1111", "2111", "2211",

@@ -22,24 +22,38 @@ ComponentParams::uLines(double lineWords) const
 }
 
 void
+GranuleAccumulator::grow()
+{
+    ++slotBits_;
+    slots_.assign(size_t{1} << slotBits_, emptySlot);
+    for (uint64_t word : unique_) {
+        size_t i = slotOf(word);
+        while (slots_[i] != emptySlot)
+            i = (i + 1) & (slots_.size() - 1);
+        slots_[i] = word;
+    }
+}
+
+void
 GranuleAccumulator::closeGranule()
 {
-    if (buffer_.empty())
+    if (unique_.empty())
         return;
 
-    std::sort(buffer_.begin(), buffer_.end());
-    buffer_.erase(std::unique(buffer_.begin(), buffer_.end()),
-                  buffer_.end());
+    // addWord already dropped the repeats: sorting the unique words
+    // gives the same list as sorting every reference and then
+    // removing duplicates.
+    std::sort(unique_.begin(), unique_.end());
 
     // Walk the sorted unique words, splitting into runs of
     // consecutive addresses.
-    uint64_t unique = buffer_.size();
+    uint64_t unique = unique_.size();
     uint64_t runs = 0;
     uint64_t isolated = 0;
     size_t i = 0;
-    while (i < buffer_.size()) {
+    while (i < unique_.size()) {
         size_t j = i + 1;
-        while (j < buffer_.size() && buffer_[j] == buffer_[j - 1] + 1)
+        while (j < unique_.size() && unique_[j] == unique_[j - 1] + 1)
             ++j;
         ++runs;
         if (j - i == 1)
@@ -53,7 +67,8 @@ GranuleAccumulator::closeGranule()
                             static_cast<double>(unique);
     sumRunLength_ += static_cast<double>(unique) /
                      static_cast<double>(runs);
-    buffer_.clear();
+    unique_.clear();
+    std::fill(slots_.begin(), slots_.end(), emptySlot);
 }
 
 ComponentParams

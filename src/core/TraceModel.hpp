@@ -67,14 +67,32 @@ struct ComponentParams
 };
 
 /**
- * Shared granule machinery: buffers word addresses, and at each
- * granule boundary sorts them and accumulates run statistics.
+ * Shared granule machinery: collects the granule's unique word
+ * addresses, and at each granule boundary sorts them and accumulates
+ * run statistics. A duplicate word is dropped on entry by a flat
+ * open-addressing set, so closing a granule sorts only its unique
+ * words (the run statistics never depend on repeats).
  */
 class GranuleAccumulator
 {
   public:
-    /** Fold one word address into the current granule. */
-    void addWord(uint64_t word) { buffer_.push_back(word); }
+    /** Fold one word address (a byte address / 4) into the
+     *  current granule. */
+    void
+    addWord(uint64_t word)
+    {
+        panicIf(word == emptySlot, "word address out of range");
+        size_t i = slotOf(word);
+        while (slots_[i] != emptySlot) {
+            if (slots_[i] == word)
+                return;
+            i = (i + 1) & (slots_.size() - 1);
+        }
+        slots_[i] = word;
+        unique_.push_back(word);
+        if (unique_.size() * 2 > slots_.size())
+            grow();
+    }
 
     /** Close the current granule and accumulate its statistics. */
     void closeGranule();
@@ -85,11 +103,31 @@ class GranuleAccumulator
     /** Averaged parameters over all closed granules. */
     ComponentParams params() const;
 
-    /** Word addresses buffered in the open granule. */
-    size_t pendingWords() const { return buffer_.size(); }
+    /** Unique word addresses collected in the open granule. */
+    size_t pendingWords() const { return unique_.size(); }
 
   private:
-    std::vector<uint64_t> buffer_;
+    /** Marks a free slot; never a word of a byte address. */
+    static constexpr uint64_t emptySlot = ~uint64_t{0};
+    static constexpr unsigned minSlotBits = 10;
+
+    /** Fibonacci hash: spreads runs of consecutive words. */
+    size_t
+    slotOf(uint64_t word) const
+    {
+        return static_cast<size_t>((word * 0x9E3779B97F4A7C15ULL) >>
+                                   (64 - slotBits_));
+    }
+
+    /** Double the table and re-insert the granule's words. */
+    void grow();
+
+    /** Open-addressing set of the granule's words, load <= 1/2. */
+    std::vector<uint64_t> slots_ =
+        std::vector<uint64_t>(size_t{1} << minSlotBits, emptySlot);
+    unsigned slotBits_ = minSlotBits;
+    /** The granule's unique words, in first-seen order. */
+    std::vector<uint64_t> unique_;
     uint64_t granules_ = 0;
     double sumUnique_ = 0.0;
     double sumIsolatedFraction_ = 0.0;

@@ -8,20 +8,93 @@
 namespace pico::dse
 {
 
-SimBank::SimBank(const CacheSpace &space)
+namespace
 {
-    auto lines = space.distinctLineSizes();
-    fatalIf(lines.empty(), "cache space has no line sizes");
-    uint32_t max_line = lines.back();
+
+void
+feedBlock(cache::SinglePassSim &sim, const trace::BlockView &view)
+{
+    sim.accessBlock(view.addrs, view.count);
+}
+
+void
+feedBlock(cache::SetResidentSim &sim, const trace::BlockView &view)
+{
+    sim.accessBlock(view.addrs, view.kinds, view.count);
+}
+
+/** Span/metric tag of one sweep: `line<N>` or `<policy>.line<N>`. */
+std::string
+sweepTag(const cache::SinglePassSim &sim)
+{
+    return "line" + std::to_string(sim.lineBytes());
+}
+
+std::string
+sweepTag(const cache::SetResidentSim &sim)
+{
+    return std::string(cache::replacementName(sim.policy())) +
+           ".line" + std::to_string(sim.lineBytes());
+}
+
+/**
+ * Run `sweep` on every simulator, one task per simulator (Cheetah
+ * ones first, then set-resident ones). Each task owns exactly one
+ * simulator, so no merge step is needed and the result cannot depend
+ * on the schedule. Each sweep reports its own span and access count,
+ * keyed by line size — the unit the paper's efficiency claim is
+ * stated in (simulations = distinct line sizes, not configs).
+ */
+template <typename Sweep>
+void
+sweepEach(std::vector<cache::SinglePassSim> &sims,
+          std::vector<cache::SetResidentSim> &policy_sims,
+          support::ThreadPool *pool, uint64_t accesses,
+          const Sweep &sweep)
+{
+    auto timed = [accesses, &sweep](auto &sim) {
+        std::string tag = sweepTag(sim);
+        support::TimedSpan span("sweep." + tag, "sweep");
+        sweep(sim);
+        PICO_METRIC_COUNT("sweep.runs", 1);
+        if (support::metricsEnabled()) {
+            support::metrics()
+                .counter("sweep." + tag + ".accesses")
+                .add(accesses);
+        }
+    };
+    support::parallelFor(
+        sims.size() + policy_sims.size(), pool, [&](size_t i) {
+            if (i < sims.size())
+                timed(sims[i]);
+            else
+                timed(policy_sims[i - sims.size()]);
+        });
+}
+
+} // namespace
+
+SimBank::SimBank(const CacheSpace &space)
+    : SimBank(space, space.distinctLineSizes())
+{}
+
+SimBank::SimBank(const CacheSpace &space, std::vector<uint32_t> lines)
+{
+    auto space_lines = space.distinctLineSizes();
+    fatalIf(space_lines.empty(), "cache space has no line sizes");
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+    for (uint32_t line : space_lines) {
+        fatalIf(!std::binary_search(lines.begin(), lines.end(), line),
+                "simulation bank lines omit the space's line size ",
+                line);
+    }
     uint32_t min_sets = space.minSets();
     uint32_t max_sets = space.maxSets();
     uint32_t max_assoc = space.maxAssoc();
 
-    // Cover every power-of-two line size down to one word so the
-    // dilation model can interpolate at any contracted line size.
-    for (uint32_t line = minCoveredLine; line <= max_line; line *= 2) {
+    for (uint32_t line : lines)
         sims_.emplace_back(line, min_sets, max_sets, max_assoc);
-    }
 
     // Extended policy axes add one set-resident pass per (enumerated
     // line size, policy). LRU is included when present so its
@@ -35,12 +108,24 @@ SimBank::SimBank(const CacheSpace &space)
                 policies.push_back(policy);
         }
         for (auto policy : policies) {
-            for (uint32_t line : lines) {
+            for (uint32_t line : space_lines) {
                 policySims_.emplace_back(line, min_sets, max_sets,
                                          max_assoc, policy);
             }
         }
     }
+}
+
+std::vector<uint32_t>
+SimBank::contractedLines(const CacheSpace &space)
+{
+    auto space_lines = space.distinctLineSizes();
+    fatalIf(space_lines.empty(), "cache space has no line sizes");
+    std::vector<uint32_t> lines;
+    for (uint32_t line = minCoveredLine; line <= space_lines.back();
+         line *= 2)
+        lines.push_back(line);
+    return lines;
 }
 
 void
@@ -57,42 +142,9 @@ SimBank::simulate(const trace::TraceBuffer &buffer,
                   support::ThreadPool *pool,
                   const support::CancelToken *cancel)
 {
-    // One task per simulator; each task owns exactly one simulator,
-    // so no merge step is needed and the result cannot depend on
-    // the schedule. Each sweep reports its own span and wall time,
-    // keyed by line size — the unit the paper's efficiency claim is
-    // stated in (simulations = distinct line sizes, not configs).
-    // Set-resident (policy) sweeps of extended spaces are extra
-    // tasks after the Cheetah ones.
-    support::parallelFor(
-        sims_.size() + policySims_.size(), pool, [&](size_t i) {
-            if (i < sims_.size()) {
-                std::string line =
-                    std::to_string(sims_[i].lineBytes());
-                support::TimedSpan span("sweep.line" + line,
-                                        "sweep");
-                sims_[i].replay(buffer.accesses(), cancel);
-                PICO_METRIC_COUNT("sweep.runs", 1);
-                if (support::metricsEnabled()) {
-                    support::metrics()
-                        .counter("sweep.line" + line + ".accesses")
-                        .add(buffer.accesses().size());
-                }
-                return;
-            }
-            auto &sim = policySims_[i - sims_.size()];
-            std::string tag =
-                std::string(cache::replacementName(sim.policy())) +
-                ".line" + std::to_string(sim.lineBytes());
-            support::TimedSpan span("sweep." + tag, "sweep");
-            sim.replay(buffer.accesses(), cancel);
-            PICO_METRIC_COUNT("sweep.runs", 1);
-            if (support::metricsEnabled()) {
-                support::metrics()
-                    .counter("sweep." + tag + ".accesses")
-                    .add(buffer.accesses().size());
-            }
-        });
+    const auto &accesses = buffer.accesses();
+    sweepEach(sims_, policySims_, pool, accesses.size(),
+              [&](auto &sim) { sim.replay(accesses, cancel); });
 }
 
 void
@@ -114,18 +166,15 @@ SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
                 cancel->checkpoint("SimBank::simulate");
             trace::BlockView view = buffer.decodeBlock(b, scratch);
             for (auto &sim : sims_)
-                sim.accessBlock(view.addrs, view.count);
+                feedBlock(sim, view);
             for (auto &sim : policySims_)
-                sim.accessBlock(view.addrs, view.kinds, view.count);
+                feedBlock(sim, view);
         }
-        PICO_METRIC_COUNT("sweep.runs",
-                          sims_.size() + policySims_.size());
+        PICO_METRIC_COUNT("sweep.runs", simRuns());
         if (support::metricsEnabled()) {
             for (const auto &sim : sims_) {
                 support::metrics()
-                    .counter("sweep.line" +
-                             std::to_string(sim.lineBytes()) +
-                             ".accesses")
+                    .counter("sweep." + sweepTag(sim) + ".accesses")
                     .add(buffer.size());
             }
         }
@@ -134,48 +183,14 @@ SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
     // One task per simulator, as in the row-wise sweep; each task
     // owns one simulator plus a private decode scratch, so tasks
     // share only the immutable encoded blocks.
-    support::parallelFor(
-        sims_.size() + policySims_.size(), pool, [&](size_t i) {
-            trace::BlockScratch scratch;
-            if (i < sims_.size()) {
-                std::string line =
-                    std::to_string(sims_[i].lineBytes());
-                support::TimedSpan span("sweep.line" + line,
-                                        "sweep");
-                for (size_t b = 0; b < blocks; ++b) {
-                    if (cancel != nullptr)
-                        cancel->checkpoint("SimBank::simulate");
-                    trace::BlockView view =
-                        buffer.decodeBlock(b, scratch);
-                    sims_[i].accessBlock(view.addrs, view.count);
-                }
-                PICO_METRIC_COUNT("sweep.runs", 1);
-                if (support::metricsEnabled()) {
-                    support::metrics()
-                        .counter("sweep.line" + line + ".accesses")
-                        .add(buffer.size());
-                }
-                return;
-            }
-            auto &sim = policySims_[i - sims_.size()];
-            std::string tag =
-                std::string(cache::replacementName(sim.policy())) +
-                ".line" + std::to_string(sim.lineBytes());
-            support::TimedSpan span("sweep." + tag, "sweep");
-            for (size_t b = 0; b < blocks; ++b) {
-                if (cancel != nullptr)
-                    cancel->checkpoint("SimBank::simulate");
-                trace::BlockView view =
-                    buffer.decodeBlock(b, scratch);
-                sim.accessBlock(view.addrs, view.kinds, view.count);
-            }
-            PICO_METRIC_COUNT("sweep.runs", 1);
-            if (support::metricsEnabled()) {
-                support::metrics()
-                    .counter("sweep." + tag + ".accesses")
-                    .add(buffer.size());
-            }
-        });
+    sweepEach(sims_, policySims_, pool, buffer.size(), [&](auto &sim) {
+        trace::BlockScratch scratch;
+        for (size_t b = 0; b < blocks; ++b) {
+            if (cancel != nullptr)
+                cancel->checkpoint("SimBank::simulate");
+            feedBlock(sim, buffer.decodeBlock(b, scratch));
+        }
+    });
 }
 
 bool
@@ -262,7 +277,8 @@ IcacheEvaluator::IcacheEvaluator(CacheSpace space,
                                  uint64_t granule_refs)
     : space_(std::move(space)), granuleRefs_(granule_refs)
 {
-    bank_ = std::make_unique<SimBank>(space_);
+    bank_ = std::make_unique<SimBank>(space_,
+                                      SimBank::contractedLines(space_));
 }
 
 void

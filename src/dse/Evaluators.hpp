@@ -39,9 +39,16 @@ using TraceSink = std::function<void(const trace::Access &)>;
 using TraceSource = std::function<void(const TraceSink &)>;
 
 /**
- * Bank of single-pass simulators covering every power-of-two line
- * size from minCoveredLine up to the space's largest line, so the
- * dilation model can interpolate at contracted line sizes.
+ * Bank of single-pass simulators, one Cheetah pass per line size.
+ *
+ * By default a bank simulates exactly the space's distinct line
+ * sizes: that is all the data cache (dilation independent, equation
+ * 4.1) and the unified cache (equation 4.15 scales each config's own
+ * reference misses) ever read. The instruction cache also needs the
+ * *contracted* line sizes L/d of Lemma 1 and the interpolation
+ * endpoints of equation 4.12, so its evaluator builds the bank over
+ * contractedLines() — every power of two from minCoveredLine up to
+ * the space's largest line.
  *
  * Designs are routed by replacement policy: LRU (a stack algorithm)
  * reads misses from the Cheetah single-pass simulators; FIFO and
@@ -58,7 +65,22 @@ class SimBank
     /** Smallest line size simulated (one word). */
     static constexpr uint32_t minCoveredLine = 4;
 
+    /** Simulates exactly space.distinctLineSizes(). */
     explicit SimBank(const CacheSpace &space);
+
+    /**
+     * Simulates the given Cheetah line sizes, which must include
+     * every line size of the space. The set-resident bank of an
+     * extended space still covers only the enumerated line sizes.
+     */
+    SimBank(const CacheSpace &space, std::vector<uint32_t> lines);
+
+    /**
+     * Every power-of-two line size from minCoveredLine up to the
+     * space's largest line: the lines the dilation model contracts
+     * an instruction cache to (Lemma 1, equation 4.12).
+     */
+    static std::vector<uint32_t> contractedLines(const CacheSpace &space);
 
     /** Feed one reference to every line-size simulator. */
     void access(const trace::Access &a);
@@ -136,7 +158,11 @@ class SimBank
     std::vector<cache::SetResidentSim> policySims_;
 };
 
-/** Instruction-cache evaluator (simulation + dilation model). */
+/**
+ * Instruction-cache evaluator (simulation + dilation model). Its bank
+ * covers SimBank::contractedLines(), so every dilation d >= 1 finds
+ * its contracted line sizes simulated.
+ */
 class IcacheEvaluator
 {
   public:
@@ -194,7 +220,10 @@ class IcacheEvaluator
     bool evaluated_ = false;
 };
 
-/** Data-cache evaluator (simulation only; equation 4.1). */
+/**
+ * Data-cache evaluator (simulation only; equation 4.1). Its bank
+ * covers only the space's own line sizes.
+ */
 class DcacheEvaluator
 {
   public:
@@ -232,7 +261,12 @@ class DcacheEvaluator
     bool evaluated_ = false;
 };
 
-/** Unified-cache evaluator (simulation + equations 4.13–4.15). */
+/**
+ * Unified-cache evaluator (simulation + equations 4.13–4.15). Its bank
+ * covers only the space's own line sizes: equation 4.15 scales each
+ * config's reference misses by a ratio of *modeled* collisions, so
+ * the contracted instruction line never reaches the simulator.
+ */
 class UcacheEvaluator
 {
   public:

@@ -77,12 +77,72 @@ syntheticUnifiedTrace(uint64_t seed, int length)
 
 TEST(SimBank, CoversDownToOneWordLines)
 {
-    SimBank bank(smallSpace());
-    // Lines 4, 8, 16, 32 -> four single-pass runs.
+    // The instruction-side bank: lines 4, 8, 16, 32 -> four
+    // single-pass runs.
+    SimBank bank(smallSpace(), SimBank::contractedLines(smallSpace()));
     EXPECT_EQ(bank.simRuns(), 4u);
     EXPECT_TRUE(bank.covers(cache::CacheConfig{64, 1, 4}));
     EXPECT_TRUE(bank.covers(cache::CacheConfig{64, 2, 32}));
     EXPECT_FALSE(bank.covers(cache::CacheConfig{64, 1, 64}));
+}
+
+TEST(SimBank, DataSideBanksSimulateOnlyTheSpaceLines)
+{
+    MemorySpaces spaces;
+    for (const CacheSpace &space :
+         {smallSpace(), spaces.dcache, spaces.ucache}) {
+        SimBank bank(space);
+        EXPECT_EQ(bank.simRuns(), space.distinctLineSizes().size());
+        EXPECT_FALSE(bank.covers(
+            cache::CacheConfig{space.minSets(), 1, 4}));
+    }
+    DcacheEvaluator deval(spaces.dcache);
+    UcacheEvaluator ueval(spaces.ucache);
+    EXPECT_EQ(deval.bank().simRuns(),
+              spaces.dcache.distinctLineSizes().size());
+    EXPECT_EQ(ueval.bank().simRuns(),
+              spaces.ucache.distinctLineSizes().size());
+}
+
+TEST(SimBank, ContractedLinesFillEveryPowerOfTwoGap)
+{
+    CacheSpace space = smallSpace();
+    space.lineSizes = {64, 16};
+    EXPECT_EQ(SimBank::contractedLines(space),
+              (std::vector<uint32_t>{4, 8, 16, 32, 64}));
+    // The one-argument bank leaves the gap at 32 bytes alone.
+    EXPECT_EQ(SimBank(space).simRuns(), 2u);
+    EXPECT_FALSE(SimBank(space).covers(cache::CacheConfig{64, 1, 32}));
+}
+
+TEST(SimBank, RejectsLinesThatOmitTheSpace)
+{
+    EXPECT_THROW((SimBank(smallSpace(), {4, 8, 16})), FatalError);
+}
+
+TEST(IcacheEvaluator, DilatedQueriesStayInsideTheBank)
+{
+    // Every line the dilation model asks the oracle for, at any
+    // dilation from 1 to 4, must be one the I-side bank simulated.
+    MemorySpaces spaces;
+    IcacheEvaluator eval(spaces.icache, 2000);
+    eval.evaluate(syntheticInstrTrace(11, 40000));
+    core::DilationModel model(eval.params(), eval.params(),
+                              eval.params());
+    size_t asked = 0;
+    core::MissOracle checked = [&](const cache::CacheConfig &c) {
+        ++asked;
+        EXPECT_TRUE(eval.bank().covers(c)) << c.name();
+        return eval.bank().misses(c);
+    };
+    for (const auto &cfg : spaces.icache.enumerate()) {
+        for (int step = 0; step <= 60; ++step) {
+            double d = 1.0 + step * 0.05;
+            EXPECT_NO_THROW(eval.misses(cfg, d)) << cfg.name() << d;
+            model.estimateIcacheMisses(cfg, d, checked);
+        }
+    }
+    EXPECT_GT(asked, 0u);
 }
 
 TEST(SimBank, MissesThrowOutsideCoverage)

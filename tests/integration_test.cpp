@@ -215,13 +215,20 @@ TEST(Integration, EvaluationCountMatchesHierarchicalClaim)
 {
     // The hierarchical strategy needs one trace+simulation pass per
     // line size per cache type, regardless of how many processors
-    // are explored: confirm the SimBank run count.
-    dse::CacheSpace space = dse::CacheSpace::defaultL1Space();
-    dse::SimBank bank(space);
-    // Line sizes 4..64 -> 5 passes; the cross-product alternative
-    // would be |processors| x |caches| full simulations.
-    EXPECT_EQ(bank.simRuns(), 5u);
-    EXPECT_GE(space.enumerate().size(), 20u);
+    // are explored: confirm each evaluator's SimBank run count.
+    dse::MemorySpaces spaces;
+    dse::IcacheEvaluator ieval(spaces.icache);
+    dse::DcacheEvaluator deval(spaces.dcache);
+    dse::UcacheEvaluator ueval(spaces.ucache);
+    // The I-cache also simulates the contracted lines of the dilation
+    // model: 4..64 -> 5 passes. The D- and U-caches simulate only
+    // their own lines (16/32/64 and 32/64/128) -> 3 passes each.
+    // The cross-product alternative would be |processors| x |caches|
+    // full simulations.
+    EXPECT_EQ(ieval.bank().simRuns(), 5u);
+    EXPECT_EQ(deval.bank().simRuns(), 3u);
+    EXPECT_EQ(ueval.bank().simRuns(), 3u);
+    EXPECT_GE(spaces.icache.enumerate().size(), 20u);
 }
 
 } // namespace

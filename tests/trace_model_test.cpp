@@ -1,10 +1,15 @@
 /**
  * @file
  * Unit tests for the trace modelers: granule run statistics, the
- * derived parameters p2 and u(L), and the I/U modeler front ends.
+ * derived parameters p2 and u(L), and the I/U modeler front ends,
+ * plus a differential check of the deduplicating granule set against
+ * a sort-everything reference.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "core/TraceModel.hpp"
 #include "support/Logging.hpp"
@@ -219,6 +224,185 @@ TEST(TraceModel, RandomTraceParamsSane)
     EXPECT_LT(p.lav, 1.1);
     EXPECT_GT(p.u1, 4000.0);
 }
+
+/**
+ * The textbook accumulator the deduplicating one must match: keep
+ * every reference, then sort the granule and drop duplicates.
+ */
+class SortAllAccumulator
+{
+  public:
+    void addWord(uint64_t word) { words_.push_back(word); }
+
+    void
+    closeGranule()
+    {
+        if (words_.empty())
+            return;
+        std::sort(words_.begin(), words_.end());
+        words_.erase(std::unique(words_.begin(), words_.end()),
+                     words_.end());
+        uint64_t runs = 0, isolated = 0;
+        for (size_t i = 0; i < words_.size();) {
+            size_t j = i + 1;
+            while (j < words_.size() && words_[j] == words_[j - 1] + 1)
+                ++j;
+            ++runs;
+            if (j - i == 1)
+                ++isolated;
+            i = j;
+        }
+        auto unique = static_cast<double>(words_.size());
+        ++granules_;
+        sumUnique_ += unique;
+        sumIsolatedFraction_ += static_cast<double>(isolated) / unique;
+        sumRunLength_ += unique / static_cast<double>(runs);
+        words_.clear();
+    }
+
+    uint64_t granules() const { return granules_; }
+
+    ComponentParams
+    params() const
+    {
+        auto n = static_cast<double>(granules_);
+        return {sumUnique_ / n, sumIsolatedFraction_ / n,
+                sumRunLength_ / n};
+    }
+
+  private:
+    std::vector<uint64_t> words_;
+    uint64_t granules_ = 0;
+    double sumUnique_ = 0.0;
+    double sumIsolatedFraction_ = 0.0;
+    double sumRunLength_ = 0.0;
+};
+
+/**
+ * A word stream with the shapes that stress the set: replayed loop
+ * bodies (many repeats), scattered words, stretches of one repeated
+ * word, and runs at both ends of the address range (word 0 and the
+ * words just below 2^62, the largest word of a byte address).
+ */
+std::vector<uint64_t>
+stressWords(uint64_t seed, size_t length)
+{
+    Rng rng(seed);
+    std::vector<uint64_t> words;
+    words.reserve(length);
+    constexpr uint64_t top = uint64_t{1} << 62;
+    while (words.size() < length) {
+        size_t n = 1 + rng.below(4000);
+        switch (rng.below(5)) {
+        case 0: { // a loop body replayed
+            uint64_t base = rng.below(1 << 20);
+            uint64_t body = 1 + rng.below(300);
+            for (size_t k = 0; k < n; ++k)
+                words.push_back(base + k % body);
+            break;
+        }
+        case 1: // scattered
+            for (size_t k = 0; k < n; ++k)
+                words.push_back(rng.below(1 << 24));
+            break;
+        case 2: { // one word over and over
+            uint64_t word = rng.below(1 << 20);
+            for (size_t k = 0; k < n; ++k)
+                words.push_back(word);
+            break;
+        }
+        case 3: // from word 0 up, with repeats
+            for (size_t k = 0; k < n; ++k)
+                words.push_back(rng.below(64));
+            break;
+        default: // just below 2^62, with repeats
+            for (size_t k = 0; k < n; ++k)
+                words.push_back(top - 1 - rng.below(64));
+            break;
+        }
+    }
+    words.resize(length);
+    return words;
+}
+
+void
+expectSameParams(const ComponentParams &got,
+                 const ComponentParams &want)
+{
+    EXPECT_EQ(got.u1, want.u1);
+    EXPECT_EQ(got.p1, want.p1);
+    EXPECT_EQ(got.lav, want.lav);
+}
+
+class DedupDifferential
+    : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(DedupDifferential, MatchesSortAllThenUnique)
+{
+    const uint64_t granule = GetParam();
+    // At least two full granules of mixed words (30000 words at the
+    // small sizes), then one granule of a single repeated word, then
+    // half a granule left open.
+    const size_t mixed =
+        std::max<size_t>(30000 - 30000 % granule, 2 * granule);
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        auto words = stressWords(seed, mixed);
+        words.insert(words.end(), granule, seed * 977);
+        auto tail = stressWords(seed + 100, granule / 2);
+        words.insert(words.end(), tail.begin(), tail.end());
+        Rng pick(seed * 7919);
+
+        GranuleAccumulator acc;
+        SortAllAccumulator ref;
+        ItraceModeler imodel(granule);
+        UtraceModeler umodel(granule);
+        SortAllAccumulator iref, uiref, udref;
+        uint64_t irefs = 0, urefs = 0;
+        for (size_t k = 0; k < words.size(); ++k) {
+            uint64_t w = words[k];
+            acc.addWord(w);
+            ref.addWord(w);
+            if ((k + 1) % granule == 0) {
+                acc.closeGranule();
+                ref.closeGranule();
+            }
+
+            trace::Access a{w * 4, pick.coin(0.6), false};
+            imodel.access(a);
+            if (a.isInstr) {
+                iref.addWord(w);
+                if (++irefs % granule == 0)
+                    iref.closeGranule();
+            }
+            umodel.access(a);
+            (a.isInstr ? uiref : udref).addWord(w);
+            if (++urefs % granule == 0) {
+                uiref.closeGranule();
+                udref.closeGranule();
+            }
+        }
+        ASSERT_EQ(acc.granules(), ref.granules());
+        expectSameParams(acc.params(), ref.params());
+        ASSERT_EQ(imodel.granules(), iref.granules());
+        ASSERT_GT(iref.granules(), 0u);
+        expectSameParams(imodel.params(), iref.params());
+        ASSERT_EQ(umodel.granules(), uiref.granules());
+        expectSameParams(umodel.instrParams(), uiref.params());
+        expectSameParams(umodel.dataParams(), udref.params());
+    }
+}
+
+TEST(GranuleAccumulator, RejectsWordsBeyondByteAddresses)
+{
+    GranuleAccumulator acc;
+    acc.addWord((uint64_t{1} << 62) - 1); // the largest word: fine
+    EXPECT_THROW(acc.addWord(~uint64_t{0}), PanicError);
+}
+
+INSTANTIATE_TEST_SUITE_P(GranuleSizes, DedupDifferential,
+                         ::testing::Values(1, 7, 10000, 200000));
 
 } // namespace
 } // namespace pico::core
