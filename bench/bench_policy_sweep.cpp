@@ -50,7 +50,8 @@ timedSetResident(const std::vector<trace::Access> &refs,
         for (cache::ReplacementPolicy policy : policies) {
             out.emplace_back(line, minSets, maxSets, maxAssoc,
                              policy);
-            out.back().replay(refs);
+            for (const auto &a : refs)
+                out.back().access(a.addr, a.isWrite);
         }
     }
     return support::monotonicNowNs() - start;

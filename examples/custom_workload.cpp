@@ -4,11 +4,15 @@
  * AppSpec knobs (here, a DSP-style streaming kernel), pick a
  * hierarchy, and evaluate end-to-end execution time = processor
  * cycles + stall cycles, on two candidate machines.
+ *
+ * Takes no arguments: --help prints the usage line and exits 0, any
+ * other argument exits 2.
  */
 
 #include <iostream>
 
 #include "cache/Hierarchy.hpp"
+#include "support/Flags.hpp"
 #include "support/Table.hpp"
 #include "trace/TraceGenerator.hpp"
 #include "workloads/AppSpec.hpp"
@@ -17,8 +21,11 @@
 using namespace pico;
 
 int
-main()
+main(int argc, char **argv)
 {
+    support::Flags("custom_workload", "usage: custom_workload")
+        .parse(argc, argv);
+
     // A loop-heavy, float-heavy streaming kernel over large arrays:
     // the shape of an audio/video filter.
     workloads::AppSpec spec;

@@ -45,9 +45,6 @@
  * line and exits 2; --help prints it and exits 0.
  */
 
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -55,6 +52,7 @@
 #include "cache/Policy.hpp"
 #include "dse/Spacewalker.hpp"
 #include "support/CancelToken.hpp"
+#include "support/Flags.hpp"
 #include "support/Logging.hpp"
 #include "support/Metrics.hpp"
 #include "support/RunReport.hpp"
@@ -65,161 +63,44 @@
 
 using namespace pico;
 
-namespace
-{
-
-/** Match `--flag value` or `--flag=value`; fills `value` on match. */
-bool
-flagValue(int argc, char **argv, int &i, const std::string &flag,
-          std::string &value)
-{
-    std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-    }
-    return false;
-}
-
-constexpr const char *usageLine =
-    "usage: design_space_walk [app] [--jobs N] [--verify[=0|1]] "
-    "[--metrics-out FILE] [--trace-out FILE] [--cache FILE] "
-    "[--timeout-ms N] [--replacement lru,fifo,rand] [--write wb,wt] "
-    "[--write-cost N]";
-
-/** Upper bound of --jobs; far above any core count. */
-constexpr uint64_t maxJobs = 1024;
-
-/** Report bad usage on stderr; returns the bad-usage exit code. */
-int
-badUsage(const std::string &why)
-{
-    std::cerr << "design_space_walk: " << why << "\n"
-              << usageLine << "\n";
-    return 2;
-}
-
-/** Parse a whole decimal count (no sign, no junk, no overflow). */
-bool
-parseCount(const std::string &text, uint64_t &out)
-{
-    const char *end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, out);
-    return ec == std::errc() && ptr == end;
-}
-
-/** Split a comma-separated list into its non-empty items. */
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> items;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        size_t comma = text.find(',', pos);
-        size_t end =
-            comma == std::string::npos ? text.size() : comma;
-        if (end > pos)
-            items.push_back(text.substr(pos, end - pos));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return items;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     std::string app_name = "rasta";
-    bool app_given = false;
     unsigned jobs = 1;
-    int verify = -1;
+    int verify = -1; // automatic: on in Debug builds only
     uint64_t timeout_ms = 0;
     double write_cost = 0.0;
+    std::vector<std::string> replacement_names, write_names;
+    std::string metrics_out, trace_out, cache_path;
+    support::Flags flags(
+        "design_space_walk",
+        "usage: design_space_walk [app] [--jobs N] [--verify[=0|1]] "
+        "[--metrics-out FILE] [--trace-out FILE] [--cache FILE] "
+        "[--timeout-ms N] [--replacement lru,fifo,rand] "
+        "[--write wb,wt] [--write-cost N]");
+    flags.positional("app", &app_name);
+    flags.count("--jobs", &jobs, 0, support::maxThreadsFlag);
+    flags.count("--timeout-ms", &timeout_ms);
+    flags.list("--replacement", &replacement_names);
+    flags.list("--write", &write_names);
+    flags.number("--write-cost", &write_cost);
+    flags.toggle("--verify", &verify);
+    flags.text("--metrics-out", &metrics_out);
+    flags.text("--trace-out", &trace_out);
+    flags.text("--cache", &cache_path);
+    flags.parse(argc, argv);
+    workloads::AppSpec spec;
     std::vector<cache::ReplacementPolicy> replacements;
     std::vector<cache::WritePolicy> write_policies;
-    std::string metrics_out, trace_out, cache_path, value;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            std::cout << usageLine << "\n";
-            return 0;
-        }
-        if (flagValue(argc, argv, i, "--jobs", value)) {
-            uint64_t n = 0;
-            if (!parseCount(value, n) || n > maxJobs)
-                return badUsage("--jobs takes a count from 0 to " +
-                                std::to_string(maxJobs) + ", not '" +
-                                value + "'");
-            jobs = static_cast<unsigned>(n);
-        } else if (flagValue(argc, argv, i, "--timeout-ms", value)) {
-            if (!parseCount(value, timeout_ms))
-                return badUsage("--timeout-ms takes a count, not '" +
-                                value + "'");
-        } else if (flagValue(argc, argv, i, "--replacement",
-                             value)) {
-            try {
-                for (const auto &item : splitList(value))
-                    replacements.push_back(
-                        cache::parseReplacement(item));
-            } catch (const FatalError &) {
-                // fatal() has already named the bad item.
-                return badUsage("bad --replacement list '" + value +
-                                "'");
-            }
-        } else if (flagValue(argc, argv, i, "--write", value)) {
-            try {
-                for (const auto &item : splitList(value))
-                    write_policies.push_back(
-                        cache::parseWritePolicy(item));
-            } catch (const FatalError &) {
-                return badUsage("bad --write list '" + value + "'");
-            }
-        } else if (flagValue(argc, argv, i, "--write-cost", value)) {
-            char *end = nullptr;
-            write_cost = std::strtod(value.c_str(), &end);
-            if (value.empty() || *end != '\0' ||
-                !std::isfinite(write_cost) || write_cost < 0.0)
-                return badUsage("--write-cost takes a non-negative "
-                                "number, not '" +
-                                value + "'");
-        } else if (arg == "--verify") {
-            verify = 1;
-        } else if (arg.rfind("--verify=", 0) == 0) {
-            // `=value` form only: a bare `--verify` must not eat
-            // the app-name argument.
-            std::string v = arg.substr(9);
-            if (v != "0" && v != "1")
-                return badUsage("--verify= takes 0 or 1, not '" + v +
-                                "'");
-            verify = v == "1" ? 1 : 0;
-        } else if (flagValue(argc, argv, i, "--metrics-out",
-                             metrics_out) ||
-                   flagValue(argc, argv, i, "--trace-out",
-                             trace_out) ||
-                   flagValue(argc, argv, i, "--cache", cache_path)) {
-            // value captured by flagValue
-        } else if (arg.rfind("-", 0) == 0) {
-            return badUsage("unknown or incomplete flag '" + arg +
-                            "'");
-        } else if (app_given) {
-            return badUsage("unexpected argument '" + arg + "'");
-        } else {
-            app_name = arg;
-            app_given = true;
-        }
-    }
-    workloads::AppSpec spec;
     try {
         spec = workloads::specByName(app_name);
-    } catch (const FatalError &) {
-        return badUsage("unknown app '" + app_name + "'");
+        for (const auto &item : replacement_names)
+            replacements.push_back(cache::parseReplacement(item));
+        for (const auto &item : write_names)
+            write_policies.push_back(cache::parseWritePolicy(item));
+    } catch (const FatalError &e) {
+        flags.fail(e.what());
     }
     // Instrumentation is opt-in: without the flags the walk runs
     // with the registry disabled (a relaxed load per call site).

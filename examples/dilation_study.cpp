@@ -9,6 +9,8 @@
  * Usage: dilation_study [app] [machine]
  *   app      one of the suite names (default 085.gcc)
  *   machine  a "6332"-style FU mix (default 3221)
+ * Bad usage (a flag, an unknown app or machine, a third argument)
+ * prints the usage line and exits 2; --help prints it and exits 0.
  */
 
 #include <iostream>
@@ -17,6 +19,8 @@
 #include "core/DilationModel.hpp"
 #include "core/TraceModel.hpp"
 #include "linker/LinkedBinary.hpp"
+#include "support/Flags.hpp"
+#include "support/Logging.hpp"
 #include "support/Table.hpp"
 #include "trace/TraceGenerator.hpp"
 #include "workloads/AppSpec.hpp"
@@ -49,15 +53,26 @@ simulate(const ir::Program &prog,
 int
 main(int argc, char **argv)
 {
-    std::string app_name = argc > 1 ? argv[1] : "085.gcc";
-    std::string machine_name = argc > 2 ? argv[2] : "3221";
+    std::string app_name = "085.gcc";
+    std::string machine_name = "3221";
+    support::Flags flags("dilation_study",
+                         "usage: dilation_study [app] [machine]");
+    flags.positional("app", &app_name);
+    flags.positional("machine", &machine_name);
+    flags.parse(argc, argv);
+    workloads::AppSpec spec;
+    machine::MachineDesc target_machine;
+    try {
+        spec = workloads::specByName(app_name);
+        target_machine = machine::MachineDesc::fromName(machine_name);
+    } catch (const FatalError &e) {
+        flags.fail(e.what());
+    }
 
-    auto prog = workloads::buildAndProfile(
-        workloads::specByName(app_name));
+    auto prog = workloads::buildAndProfile(spec);
     auto ref = workloads::buildFor(
         prog, machine::MachineDesc::fromName("1111"));
-    auto target = workloads::buildFor(
-        prog, machine::MachineDesc::fromName(machine_name));
+    auto target = workloads::buildFor(prog, target_machine);
     double d = linker::textDilation(target.bin, ref.bin);
 
     std::cout << app_name << " on " << machine_name

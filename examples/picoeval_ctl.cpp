@@ -17,61 +17,33 @@
  *     picoeval_ctl --socket /tmp/s.sock dump-trace --request-id 7 \
  *         | python3 -m json.tool
  *
- * Exit codes: 0 = verb answered ok; 1 = non-ok response; 2 = usage.
+ * Exit codes: 0 = verb answered ok; 1 = non-ok response; 2 = bad
+ * usage (usage line on stderr). --help prints the usage line, exit 0.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "server/Client.hpp"
+#include "support/Flags.hpp"
 
 using namespace pico;
-
-namespace
-{
-
-/** Match `--flag value` or `--flag=value`; fills `value` on match. */
-bool
-flagValue(int argc, char **argv, int &i, const std::string &flag,
-          std::string &value)
-{
-    std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-    }
-    return false;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string socket_path, verb, value;
+    std::string socket_path, verb;
     uint64_t request_id = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--socket", socket_path)) {
-        } else if (flagValue(argc, argv, i, "--request-id", value)) {
-            request_id = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (argv[i][0] != '-' && verb.empty()) {
-            verb = argv[i];
-        } else {
-            std::cerr << "unknown argument: " << argv[i] << "\n";
-            return 2;
-        }
-    }
-    if (socket_path.empty() || verb.empty()) {
-        std::cerr << "usage: picoeval_ctl --socket PATH "
-                     "ping|stats|health|dump-trace "
-                     "[--request-id N]\n";
-        return 2;
-    }
+    support::Flags flags("picoeval_ctl",
+                         "usage: picoeval_ctl --socket PATH "
+                         "ping|stats|health|dump-trace "
+                         "[--request-id N]");
+    flags.text("--socket", &socket_path);
+    flags.count("--request-id", &request_id);
+    flags.positional("verb", &verb, true);
+    flags.parse(argc, argv);
+    if (socket_path.empty())
+        flags.fail("--socket is required");
 
     server::ClientOptions copts;
     copts.socketPath = socket_path;

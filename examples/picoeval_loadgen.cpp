@@ -40,12 +40,12 @@
  *
  * Exit codes: 0 = every request reached a terminal answer; 1 =
  * protocol violation (bad_request/undecodable), lost requests,
- * non-monotonic mid-run stats, or a reconciliation failure.
+ * non-monotonic mid-run stats, or a reconciliation failure; 2 = bad
+ * usage, reported before any client thread starts (--help: 0).
  */
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -54,6 +54,7 @@
 #include "../bench/BenchCommon.hpp"
 #include "server/Client.hpp"
 #include "support/Backoff.hpp"
+#include "support/Flags.hpp"
 #include "support/Metrics.hpp"
 #include "support/Random.hpp"
 
@@ -61,42 +62,6 @@ using namespace pico;
 
 namespace
 {
-
-/** Match `--flag value` or `--flag=value`; fills `value` on match. */
-bool
-flagValue(int argc, char **argv, int &i, const std::string &flag,
-          std::string &value)
-{
-    std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-    }
-    return false;
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : csv) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
 
 /** Per-client tally, merged after the join. */
 struct ClientTally
@@ -140,7 +105,7 @@ int
 main(int argc, char **argv)
 {
     std::string json_out = bench::extractJsonOutArg(argc, argv);
-    std::string socket_path, value;
+    std::string socket_path;
     uint64_t clients = 4, requests = 25, deadline_ms = 0;
     uint64_t trace_blocks = 2000, think_ms = 0, seed = 1;
     uint64_t max_attempts = 8, stats_interval_ms = 0;
@@ -148,44 +113,32 @@ main(int argc, char **argv)
     std::vector<std::string> apps = {"rasta", "epic"};
     std::vector<std::string> machines = {"1111", "2111", "2211",
                                          "3221"};
-    for (int i = 1; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--socket", socket_path)) {
-        } else if (flagValue(argc, argv, i, "--clients", value)) {
-            clients = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--requests", value)) {
-            requests = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--apps", value)) {
-            apps = splitList(value);
-        } else if (flagValue(argc, argv, i, "--machines", value)) {
-            machines = splitList(value);
-        } else if (flagValue(argc, argv, i, "--zipf", value)) {
-            zipf_s = std::strtod(value.c_str(), nullptr);
-        } else if (flagValue(argc, argv, i, "--deadline-ms", value)) {
-            deadline_ms = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--trace-blocks",
-                             value)) {
-            trace_blocks = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--think-ms", value)) {
-            think_ms = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--max-attempts",
-                             value)) {
-            max_attempts = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--seed", value)) {
-            seed = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--stats-interval",
-                             value)) {
-            stats_interval_ms =
-                std::strtoull(value.c_str(), nullptr, 10);
-        } else {
-            std::cerr << "unknown argument: " << argv[i] << "\n";
-            return 2;
-        }
-    }
-    if (socket_path.empty() || apps.empty() || machines.empty() ||
-        clients == 0 || requests == 0) {
-        std::cerr << "usage: picoeval_loadgen --socket PATH [...]\n";
-        return 2;
-    }
+    support::Flags flags(
+        "picoeval_loadgen",
+        "usage: picoeval_loadgen --socket PATH [--clients N] "
+        "[--requests N] [--apps a,b,...] [--machines m1,m2,...] "
+        "[--zipf S] [--deadline-ms N] [--trace-blocks N] "
+        "[--think-ms N] [--max-attempts N] [--seed N] "
+        "[--stats-interval MS] [--json-out FILE]");
+    flags.text("--socket", &socket_path);
+    // One thread per client: the bound is checked before any starts.
+    flags.count("--clients", &clients, 1, support::maxThreadsFlag);
+    flags.count("--requests", &requests, 1);
+    flags.list("--apps", &apps);
+    flags.list("--machines", &machines);
+    flags.number("--zipf", &zipf_s);
+    flags.count("--deadline-ms", &deadline_ms);
+    flags.count("--trace-blocks", &trace_blocks);
+    flags.count("--think-ms", &think_ms);
+    // The client needs at least one attempt and counts them in 32 bits.
+    flags.count("--max-attempts", &max_attempts, 1, UINT32_MAX);
+    flags.count("--seed", &seed);
+    flags.count("--stats-interval", &stats_interval_ms);
+    flags.parse(argc, argv);
+    if (socket_path.empty())
+        flags.fail("--socket is required");
+    if (apps.empty() || machines.empty())
+        flags.fail("--apps and --machines need at least one item");
 
     // The request pool: app x machine combinations, drawn with Zipf
     // popularity so a few requests are hot (hitting the server's

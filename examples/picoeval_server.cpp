@@ -37,6 +37,9 @@
  *                      database with the result verifier and exit
  *                      (0 = clean) — CI runs this after chaos loads
  *
+ * Bad usage exits 2 with the usage on stderr, before the socket is
+ * bound; --help prints the usage and exits 0.
+ *
  * On SIGTERM/SIGINT the server stops accepting, drains admitted work
  * under --drain-ms (answering anything the deadline strands as
  * shed), flushes the cache, writes the final report, and exits 0 on
@@ -45,7 +48,6 @@
  */
 
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -54,6 +56,7 @@
 #include "server/Server.hpp"
 #include "support/Backoff.hpp"
 #include "support/FaultInjection.hpp"
+#include "support/Flags.hpp"
 #include "support/FlightRecorder.hpp"
 #include "support/Logging.hpp"
 #include "support/Metrics.hpp"
@@ -98,29 +101,6 @@ fatalFlightDump(const char *, const std::string &)
             g_flight_path);
 }
 
-/** Match `--flag value` or `--flag=value`; fills `value` on match. */
-bool
-flagValue(int argc, char **argv, int &i, const std::string &flag,
-          std::string &value)
-{
-    std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-    }
-    return false;
-}
-
-uint64_t
-toU64(const std::string &s)
-{
-    return std::strtoull(s.c_str(), nullptr, 10);
-}
-
 /**
  * Deterministic chaos configuration: the same sites and triggers
  * every run, so a chaos load test is reproducible. Sites:
@@ -149,36 +129,27 @@ main(int argc, char **argv)
     std::string trace_out, flight_out;
     server::ServiceOptions opts;
     uint64_t drain_ms = 10000;
-    bool chaos = false;
-    std::string value;
-    for (int i = 1; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--socket", socket_path) ||
-            flagValue(argc, argv, i, "--cache", cache_path) ||
-            flagValue(argc, argv, i, "--metrics-out", metrics_out) ||
-            flagValue(argc, argv, i, "--trace-out", trace_out) ||
-            flagValue(argc, argv, i, "--flight-out", flight_out) ||
-            flagValue(argc, argv, i, "--verify-cache",
-                      verify_path)) {
-            // value captured by flagValue
-        } else if (flagValue(argc, argv, i, "--workers", value)) {
-            opts.workers = static_cast<unsigned>(toU64(value));
-        } else if (flagValue(argc, argv, i, "--queue-capacity",
-                             value)) {
-            opts.queueCapacity = toU64(value);
-        } else if (flagValue(argc, argv, i, "--watermark", value)) {
-            opts.queueWatermark = toU64(value);
-        } else if (flagValue(argc, argv, i, "--default-deadline-ms",
-                             value)) {
-            opts.defaultDeadlineMs = toU64(value);
-        } else if (flagValue(argc, argv, i, "--drain-ms", value)) {
-            drain_ms = toU64(value);
-        } else if (std::string(argv[i]) == "--chaos") {
-            chaos = true;
-        } else {
-            std::cerr << "unknown argument: " << argv[i] << "\n";
-            return 2;
-        }
-    }
+    int chaos = 0;
+    support::Flags flags(
+        "picoeval_server",
+        "usage: picoeval_server --socket PATH [--workers N] "
+        "[--cache FILE] [--queue-capacity N] [--watermark N] "
+        "[--default-deadline-ms N] [--drain-ms N] [--chaos] "
+        "[--metrics-out FILE] [--trace-out FILE] [--flight-out FILE]\n"
+        "       picoeval_server --verify-cache FILE");
+    flags.text("--socket", &socket_path);
+    flags.text("--cache", &cache_path);
+    flags.text("--metrics-out", &metrics_out);
+    flags.text("--trace-out", &trace_out);
+    flags.text("--flight-out", &flight_out);
+    flags.text("--verify-cache", &verify_path);
+    flags.count("--workers", &opts.workers, 1, support::maxThreadsFlag);
+    flags.count("--queue-capacity", &opts.queueCapacity, 1);
+    flags.count("--watermark", &opts.queueWatermark);
+    flags.count("--default-deadline-ms", &opts.defaultDeadlineMs);
+    flags.count("--drain-ms", &drain_ms);
+    flags.toggle("--chaos", &chaos);
+    flags.parse(argc, argv);
 
     // Standalone audit mode: is a cache database internally
     // consistent? CI runs this over the database a chaos load left
@@ -195,11 +166,12 @@ main(int argc, char **argv)
         return diags.clean() ? 0 : 1;
     }
 
-    if (socket_path.empty()) {
-        std::cerr << "usage: picoeval_server --socket PATH [...] | "
-                     "--verify-cache FILE\n";
-        return 2;
-    }
+    if (socket_path.empty())
+        flags.fail("--socket or --verify-cache is required");
+    // The admission queue sheds at the watermark, so it must fit in
+    // the queue (0 means "at capacity").
+    if (opts.queueWatermark > opts.queueCapacity)
+        flags.fail("--watermark exceeds --queue-capacity");
 
     support::setMetricsEnabled(!metrics_out.empty());
     support::setTraceEnabled(!trace_out.empty());
@@ -260,8 +232,7 @@ main(int argc, char **argv)
         report.set("server.socket", socket_path);
         report.set("server.workers",
                    static_cast<uint64_t>(opts.workers));
-        report.set("server.chaos",
-                   static_cast<uint64_t>(chaos ? 1 : 0));
+        report.set("server.chaos", static_cast<uint64_t>(chaos));
         report.set("server.drain.graceful",
                    static_cast<uint64_t>(graceful ? 1 : 0));
         for (const auto &[k, v] : stats)

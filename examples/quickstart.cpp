@@ -10,20 +10,26 @@
  * Build and run:
  *   cmake -B build -G Ninja && cmake --build build
  *   ./build/examples/quickstart
+ *
+ * Takes no arguments: --help prints the usage line and exits 0, any
+ * other argument exits 2.
  */
 
 #include <iostream>
 
 #include "cache/CacheSim.hpp"
 #include "machine/MachineDesc.hpp"
+#include "support/Flags.hpp"
 #include "trace/TraceGenerator.hpp"
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace pico;
+
+    support::Flags("quickstart", "usage: quickstart").parse(argc, argv);
 
     // 1. A synthetic application: the "epic" analogue from the
     //    benchmark suite. buildAndProfile generates the IR and runs

@@ -9,7 +9,8 @@
  * Usage: trace_convert <input> <output> [--format v2|v3]
  *   input    a v1/v2 text or v3 columnar trace file (sniffed)
  *   --format target format (default v3)
- * Flags accept both `--flag value` and `--flag=value`.
+ * Flags accept both `--flag value` and `--flag=value`; --help prints
+ * the usage line and exits 0.
  *
  * Exit codes distinguish *why* a conversion failed, so scripts can
  * react (retry, alert, skip):
@@ -25,7 +26,7 @@
 #include <iostream>
 #include <string>
 
-#include "support/Logging.hpp"
+#include "support/Flags.hpp"
 #include "trace/ColumnarTrace.hpp"
 #include "trace/TraceErrors.hpp"
 #include "trace/TraceFile.hpp"
@@ -34,23 +35,6 @@ using namespace pico;
 
 namespace
 {
-
-/** Match `--flag value` or `--flag=value`; fills `value` on match. */
-bool
-flagValue(int argc, char **argv, int &i, const std::string &flag,
-          std::string &value)
-{
-    std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-    }
-    return false;
-}
 
 template <typename Writer>
 uint64_t
@@ -71,25 +55,16 @@ convert(const std::string &input, Writer &writer)
 int
 main(int argc, char **argv)
 {
-    std::string input, output, format = "v3", value;
-    for (int i = 1; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--format", value)) {
-            format = value;
-        } else if (input.empty()) {
-            input = argv[i];
-        } else if (output.empty()) {
-            output = argv[i];
-        } else {
-            std::cerr << "unexpected argument: " << argv[i] << "\n";
-            return 2;
-        }
-    }
-    if (input.empty() || output.empty() ||
-        (format != "v2" && format != "v3")) {
-        std::cerr << "usage: trace_convert <input> <output> "
-                     "[--format v2|v3]\n";
-        return 2;
-    }
+    std::string input, output, format = "v3";
+    support::Flags flags(
+        "trace_convert",
+        "usage: trace_convert <input> <output> [--format v2|v3]");
+    flags.positional("input", &input, true);
+    flags.positional("output", &output, true);
+    flags.text("--format", &format);
+    flags.parse(argc, argv);
+    if (format != "v2" && format != "v3")
+        flags.fail("--format takes v2 or v3, not '" + format + "'");
 
     try {
         int from = trace::sniffTraceFileVersion(input);

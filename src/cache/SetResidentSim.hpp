@@ -36,7 +36,6 @@
 
 #include "cache/CacheConfig.hpp"
 #include "cache/Policy.hpp"
-#include "support/CancelToken.hpp"
 #include "support/Random.hpp"
 #include "trace/Access.hpp"
 
@@ -78,13 +77,6 @@ class SetResidentSim
      */
     void accessBlock(const uint64_t *addrs, const uint8_t *kinds,
                      size_t n);
-
-    /**
-     * Feed an entire buffered trace; cancellation unwinds with
-     * CancelledError and leaves the counts partial (caller discards).
-     */
-    void replay(const std::vector<trace::Access> &buffer,
-                const support::CancelToken *cancel = nullptr);
 
     /** Total references observed. */
     uint64_t accesses() const { return accesses_; }

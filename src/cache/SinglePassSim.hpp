@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "cache/CacheConfig.hpp"
-#include "support/CancelToken.hpp"
 #include "trace/Access.hpp"
 
 namespace pico::cache
@@ -78,18 +77,6 @@ class SinglePassSim
      * independent.
      */
     void accessBlock(const uint64_t *addrs, size_t n);
-
-    /**
-     * Feed an entire buffered trace. One simulator's replay touches
-     * only its own state, so replays of *different* simulators over
-     * the same buffer may run concurrently — this is the unit of
-     * work of the parallel per-line-size Cheetah passes. A cancel
-     * token is checked periodically; cancellation unwinds with
-     * CancelledError and leaves this simulator's counts partial
-     * (the caller discards it).
-     */
-    void replay(const std::vector<trace::Access> &buffer,
-                const support::CancelToken *cancel = nullptr);
 
     /** Total references observed. */
     uint64_t accesses() const { return accesses_; }

@@ -37,41 +37,6 @@ sweepTag(const cache::SetResidentSim &sim)
            ".line" + std::to_string(sim.lineBytes());
 }
 
-/**
- * Run `sweep` on every simulator, one task per simulator (Cheetah
- * ones first, then set-resident ones). Each task owns exactly one
- * simulator, so no merge step is needed and the result cannot depend
- * on the schedule. Each sweep reports its own span and access count,
- * keyed by line size — the unit the paper's efficiency claim is
- * stated in (simulations = distinct line sizes, not configs).
- */
-template <typename Sweep>
-void
-sweepEach(std::vector<cache::SinglePassSim> &sims,
-          std::vector<cache::SetResidentSim> &policy_sims,
-          support::ThreadPool *pool, uint64_t accesses,
-          const Sweep &sweep)
-{
-    auto timed = [accesses, &sweep](auto &sim) {
-        std::string tag = sweepTag(sim);
-        support::TimedSpan span("sweep." + tag, "sweep");
-        sweep(sim);
-        PICO_METRIC_COUNT("sweep.runs", 1);
-        if (support::metricsEnabled()) {
-            support::metrics()
-                .counter("sweep." + tag + ".accesses")
-                .add(accesses);
-        }
-    };
-    support::parallelFor(
-        sims.size() + policy_sims.size(), pool, [&](size_t i) {
-            if (i < sims.size())
-                timed(sims[i]);
-            else
-                timed(policy_sims[i - sims.size()]);
-        });
-}
-
 } // namespace
 
 SimBank::SimBank(const CacheSpace &space)
@@ -129,25 +94,6 @@ SimBank::contractedLines(const CacheSpace &space)
 }
 
 void
-SimBank::access(const trace::Access &a)
-{
-    for (auto &sim : sims_)
-        sim.access(a.addr);
-    for (auto &sim : policySims_)
-        sim.access(a.addr, a.isWrite);
-}
-
-void
-SimBank::simulate(const trace::TraceBuffer &buffer,
-                  support::ThreadPool *pool,
-                  const support::CancelToken *cancel)
-{
-    const auto &accesses = buffer.accesses();
-    sweepEach(sims_, policySims_, pool, accesses.size(),
-              [&](auto &sim) { sim.replay(accesses, cancel); });
-}
-
-void
 SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
                   support::ThreadPool *pool,
                   const support::CancelToken *cancel)
@@ -180,17 +126,36 @@ SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
         }
         return;
     }
-    // One task per simulator, as in the row-wise sweep; each task
-    // owns one simulator plus a private decode scratch, so tasks
-    // share only the immutable encoded blocks.
-    sweepEach(sims_, policySims_, pool, buffer.size(), [&](auto &sim) {
+    // One task per simulator (Cheetah ones first, then set-resident
+    // ones). Each task owns one simulator plus a private decode
+    // scratch, so tasks share only the immutable encoded blocks, no
+    // merge step is needed and the result cannot depend on the
+    // schedule. Each sweep reports its own span and access count,
+    // keyed by line size — the unit the paper's efficiency claim is
+    // stated in (simulations = distinct line sizes, not configs).
+    auto sweep = [&](auto &sim) {
+        std::string tag = sweepTag(sim);
+        support::TimedSpan span("sweep." + tag, "sweep");
         trace::BlockScratch scratch;
         for (size_t b = 0; b < blocks; ++b) {
             if (cancel != nullptr)
                 cancel->checkpoint("SimBank::simulate");
             feedBlock(sim, buffer.decodeBlock(b, scratch));
         }
-    });
+        PICO_METRIC_COUNT("sweep.runs", 1);
+        if (support::metricsEnabled()) {
+            support::metrics()
+                .counter("sweep." + tag + ".accesses")
+                .add(buffer.size());
+        }
+    };
+    support::parallelFor(
+        sims_.size() + policySims_.size(), pool, [&](size_t i) {
+            if (i < sims_.size())
+                sweep(sims_[i]);
+            else
+                sweep(policySims_[i - sims_.size()]);
+        });
 }
 
 bool

@@ -26,7 +26,6 @@
 #include "support/CancelToken.hpp"
 #include "support/ThreadPool.hpp"
 #include "trace/ColumnarTrace.hpp"
-#include "trace/TraceBuffer.hpp"
 
 namespace pico::dse
 {
@@ -82,32 +81,17 @@ class SimBank
      */
     static std::vector<uint32_t> contractedLines(const CacheSpace &space);
 
-    /** Feed one reference to every line-size simulator. */
-    void access(const trace::Access &a);
-
-    /**
-     * Run every line-size simulator over a buffered trace, one
-     * independent read-only sweep each, concurrently on the given
-     * pool (null/zero-worker pool = serial, identical results:
-     * each simulator's state depends only on the trace, never on
-     * the other simulators or the schedule). A cancel token is
-     * checked at sweep granularity; cancellation unwinds with
-     * CancelledError and leaves the bank unusable for misses()
-     * queries (the caller discards it).
-     */
-    void simulate(const trace::TraceBuffer &buffer,
-                  support::ThreadPool *pool,
-                  const support::CancelToken *cancel = nullptr);
-
     /**
      * Run every line-size simulator over a columnar trace. Serial
      * (null/zero-worker pool): the fused path decodes each block
      * once and the decoded span feeds *all* simulators while it is
      * hot. Parallel: one task per line size, each decoding into its
      * own scratch. Either way each simulator sees the identical
-     * address sequence, so miss counts are bit-identical to the
-     * row-wise replay and independent of the schedule. The cancel
-     * token is checked once per encoded block.
+     * address sequence, so miss counts equal per-reference access()
+     * calls and do not depend on the schedule. The cancel token is
+     * checked once per encoded block; cancellation unwinds with
+     * CancelledError and leaves the bank unusable for misses()
+     * queries (the caller discards it).
      */
     void simulate(const trace::ColumnarTraceBuffer &buffer,
                   support::ThreadPool *pool,

@@ -9,6 +9,7 @@
 #include "dse/Spacewalker.hpp"
 #include "support/Backoff.hpp"
 #include "support/FaultInjection.hpp"
+#include "support/Flags.hpp"
 #include "support/FlightRecorder.hpp"
 #include "support/Logging.hpp"
 #include "support/Metrics.hpp"
@@ -28,26 +29,6 @@ using support::FlightRecorder;
 /** Stats-key spelling of each Verb bucket. */
 constexpr const char *verbKeyNames[] = {"eval", "stats", "health",
                                         "dump_trace", "ping"};
-
-/** Split a comma-separated machine list ("" items dropped). */
-std::vector<std::string>
-splitMachines(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : list) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
 
 } // namespace
 
@@ -322,7 +303,7 @@ EvalService::execute(Task &task)
         task.token.checkpoint("EvalService::execute");
 
         auto prog = programFor(task.req.app);
-        auto machines = splitMachines(task.req.machines);
+        auto machines = support::splitList(task.req.machines);
         fatalIf(machines.empty(), "request has no machines");
 
         dse::MemorySpaces spaces;

@@ -52,6 +52,7 @@ Server::Server(std::string socket_path, EvalService *service)
 Server::~Server()
 {
     stop();
+    ::close(listenFd_);
 }
 
 void
@@ -110,10 +111,14 @@ Server::handleConnection(int fd)
         if (!writeFrame(fd, encodeResponse(resp)))
             break;
     }
-    ::close(fd);
+    // Erase before closing, under one lock: once closed, accept()
+    // may hand the same number to a new connection, and erasing by
+    // value after that would drop the live one from connFds_, so
+    // stop() would never shut it down.
     support::MutexLock lock(connMutex_);
     connFds_.erase(std::remove(connFds_.begin(), connFds_.end(), fd),
                    connFds_.end());
+    ::close(fd);
 }
 
 void
@@ -132,11 +137,9 @@ Server::stop()
     bool expected = false;
     if (!stopping_.compare_exchange_strong(expected, true))
         return;
-    if (listenFd_ >= 0) {
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
+    // shutdown() wakes run()'s poll/accept; the fd stays open (and
+    // its number unreused) until the destructor, after run() returned.
+    ::shutdown(listenFd_, SHUT_RDWR);
     closeAllConnections();
     std::vector<std::thread> threads;
     {

@@ -3,11 +3,11 @@
  * Columnar compressed address traces (in-memory and trace format v3).
  *
  * The Cheetah hot loop replays one captured reference trace once per
- * distinct line size. The original TraceBuffer stores the trace as an
- * array of 16-byte Access structs, so every sweep streams 16 bytes
- * per reference through the memory system even though the simulators
- * only consume the address (and the address stream itself is highly
- * local). The columnar representation fixes both costs:
+ * distinct line size. Stored as an array of 16-byte Access structs,
+ * every sweep would stream 16 bytes per reference through the memory
+ * system even though the simulators only consume the address (and
+ * the address stream itself is highly local). The columnar
+ * representation, the only in-memory trace capture, fixes both costs:
  *
  *  - the trace is split into *blocks* of a fixed number of records
  *    (blockCapacity, default 4096);
@@ -137,10 +137,10 @@ bool decodeBlock(const uint8_t *deltas, size_t delta_bytes,
 } // namespace detail
 
 /**
- * In-memory columnar trace: the capture-side replacement for
- * TraceBuffer. Sink-compatible; immutable once capture ends, so any
- * number of threads may decode blocks concurrently (each with its
- * own BlockScratch).
+ * In-memory columnar trace, the capture buffer every multi-pass
+ * consumer (SimBank, the evaluators) replays. Sink-compatible;
+ * immutable once capture ends, so any number of threads may decode
+ * blocks concurrently (each with its own BlockScratch).
  */
 class ColumnarTraceBuffer
 {

@@ -16,10 +16,12 @@
 #include "cache/CacheSim.hpp"
 #include "cache/SinglePassSim.hpp"
 #include "dse/Evaluators.hpp"
+#include "support/CancelToken.hpp"
 #include "support/Random.hpp"
 #include "support/ThreadPool.hpp"
 #include "trace/ColumnarTrace.hpp"
-#include "trace/TraceBuffer.hpp"
+
+#include "PerReferenceBank.hpp"
 
 namespace pico
 {
@@ -98,6 +100,27 @@ TEST(Differential, SinglePassMatchesCacheSimOnAdversarialTraces)
     crossCheck(16, 8, 128, 2, cyclic);
 }
 
+/** Instruction references at the given addresses. */
+std::vector<trace::Access>
+instrRefs(const std::vector<uint64_t> &addrs)
+{
+    std::vector<trace::Access> refs;
+    for (auto addr : addrs)
+        refs.push_back(trace::Access{addr, true, false});
+    return refs;
+}
+
+/** Misses of a dedicated CacheSim run over the references. */
+double
+oracleMisses(const cache::CacheConfig &cfg,
+             const std::vector<trace::Access> &refs)
+{
+    cache::CacheSim ref(cfg);
+    for (const auto &a : refs)
+        ref(a);
+    return static_cast<double>(ref.misses());
+}
+
 TEST(Differential, SimBankParallelSweepMatchesDirectSims)
 {
     // The parallel per-line-size sweep must agree with direct
@@ -108,20 +131,19 @@ TEST(Differential, SimBankParallelSweepMatchesDirectSims)
     space.assocs = {1, 2, 4};
     space.lineSizes = {16, 32, 64};
 
-    trace::TraceBuffer buffer;
-    for (auto addr : randomTrace(321, 0))
-        buffer(trace::Access{addr, true, false});
-
+    auto refs = instrRefs(randomTrace(321, 0));
     support::ThreadPool pool(4);
-    dse::SimBank bank(space);
-    bank.simulate(buffer, &pool);
+    for (uint32_t capacity : test::kBlockCapacities) {
+        trace::ColumnarTraceBuffer buffer(capacity);
+        for (const auto &a : refs)
+            buffer(a);
+        dse::SimBank bank(space);
+        bank.simulate(buffer, &pool);
 
-    for (const auto &cfg : space.enumerate()) {
-        cache::CacheSim ref(cfg);
-        buffer.replay(ref);
-        EXPECT_EQ(bank.misses(cfg),
-                  static_cast<double>(ref.misses()))
-            << cfg.name();
+        for (const auto &cfg : space.enumerate()) {
+            EXPECT_EQ(bank.misses(cfg), oracleMisses(cfg, refs))
+                << cfg.name() << " block capacity " << capacity;
+        }
     }
 }
 
@@ -150,38 +172,64 @@ TEST(Differential, AccessBlockMatchesPerAccessCalls)
 
 TEST(Differential, ColumnarReplayMatchesRowReplayAcrossCacheSpace)
 {
-    // The tentpole claim: the fused columnar sweep produces, for
-    // every configuration in the cache space, exactly the miss
-    // count of the row-wise TraceBuffer sweep it replaced — and
-    // both match the external per-config oracle.
+    // The fused columnar sweep produces, for every configuration in
+    // the cache space, exactly the miss count of the same simulators
+    // fed one reference at a time — and both match the external
+    // per-config oracle.
     dse::CacheSpace space;
     space.sizesBytes = {2048, 4096, 8192, 16384};
     space.assocs = {1, 2, 4};
     space.lineSizes = {8, 16, 32, 64};
 
-    auto addrs = randomTrace(20260808, 2);
-    trace::TraceBuffer rows;
+    auto refs = instrRefs(randomTrace(20260808, 2));
+    test::PerReferenceBank row_bank(space, refs);
+    for (uint32_t capacity : test::kBlockCapacities) {
+        trace::ColumnarTraceBuffer cols(capacity);
+        for (const auto &a : refs)
+            cols(a);
+        dse::SimBank col_bank(space);
+        col_bank.simulate(cols, nullptr);
+
+        for (const auto &cfg : space.enumerate()) {
+            EXPECT_EQ(col_bank.misses(cfg), row_bank.misses(cfg))
+                << cfg.name() << " block capacity " << capacity;
+            EXPECT_EQ(col_bank.misses(cfg), oracleMisses(cfg, refs))
+                << cfg.name() << " block capacity " << capacity;
+        }
+    }
+}
+
+TEST(Differential, CancelledSweepThrowsAndFreshBankStillMatches)
+{
+    // A cancelled token unwinds both sweep paths — the serial fused
+    // decode and one pool task per simulator — and leaves the
+    // buffer untouched: a fresh bank over it still matches the
+    // oracle.
+    dse::CacheSpace space;
+    space.sizesBytes = {2048, 8192};
+    space.assocs = {1, 2};
+    space.lineSizes = {16, 32};
+
+    auto refs = instrRefs(randomTrace(404, 5));
     trace::ColumnarTraceBuffer cols(/*block_capacity=*/128);
-    for (auto addr : addrs) {
-        trace::Access a{addr, true, false};
-        rows(a);
+    for (const auto &a : refs)
         cols(a);
-    }
 
-    dse::SimBank row_bank(space);
-    row_bank.simulate(rows, nullptr);
-    dse::SimBank col_bank(space);
-    col_bank.simulate(cols, nullptr);
+    support::CancelToken cancelled;
+    cancelled.cancel();
+    support::ThreadPool pool(2);
+    dse::SimBank serial(space);
+    EXPECT_THROW(serial.simulate(cols, nullptr, &cancelled),
+                 CancelledError);
+    dse::SimBank parallel(space);
+    EXPECT_THROW(parallel.simulate(cols, &pool, &cancelled),
+                 CancelledError);
 
-    for (const auto &cfg : space.enumerate()) {
-        EXPECT_EQ(col_bank.misses(cfg), row_bank.misses(cfg))
+    dse::SimBank fresh(space);
+    fresh.simulate(cols, &pool);
+    for (const auto &cfg : space.enumerate())
+        EXPECT_EQ(fresh.misses(cfg), oracleMisses(cfg, refs))
             << cfg.name();
-        cache::CacheSim ref(cfg);
-        rows.replay(ref);
-        EXPECT_EQ(col_bank.misses(cfg),
-                  static_cast<double>(ref.misses()))
-            << cfg.name();
-    }
 }
 
 TEST(Differential, ColumnarSweepIsJobCountInvariant)

@@ -11,6 +11,8 @@
 #include "dse/Spacewalker.hpp"
 #include "support/Random.hpp"
 
+#include "PerReferenceBank.hpp"
+
 namespace pico::dse
 {
 namespace
@@ -147,11 +149,16 @@ TEST(IcacheEvaluator, DilatedQueriesStayInsideTheBank)
 
 TEST(SimBank, MissesThrowOutsideCoverage)
 {
-    SimBank bank(smallSpace());
-    syntheticInstrTrace(1, 1000)(
-        [&bank](const trace::Access &a) { bank.access(a); });
-    EXPECT_THROW(bank.misses(cache::CacheConfig{64, 1, 128}),
-                 FatalError);
+    for (uint32_t capacity : test::kBlockCapacities) {
+        trace::ColumnarTraceBuffer buffer(capacity);
+        syntheticInstrTrace(1, 1000)(
+            [&buffer](const trace::Access &a) { buffer(a); });
+        SimBank bank(smallSpace());
+        bank.simulate(buffer, nullptr);
+        EXPECT_THROW(bank.misses(cache::CacheConfig{64, 1, 128}),
+                     FatalError)
+            << "block capacity " << capacity;
+    }
 }
 
 TEST(IcacheEvaluator, UnitDilationEqualsSimulation)

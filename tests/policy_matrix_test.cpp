@@ -27,10 +27,11 @@
 #include "support/Random.hpp"
 #include "support/ThreadPool.hpp"
 #include "trace/ColumnarTrace.hpp"
-#include "trace/TraceBuffer.hpp"
 #include "trace/TraceGenerator.hpp"
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
+
+#include "PerReferenceBank.hpp"
 
 namespace pico
 {
@@ -266,25 +267,28 @@ TEST(PolicyMatrix, SimBankRoutesEveryCellToTheOracle)
     // (policy x write mode x geometry) must match a dedicated
     // CacheSim run — misses and write traffic.
     auto space = extendedSpace();
-    trace::TraceBuffer buffer;
     auto refs = randomWriteTrace(321, 0);
-    for (const auto &a : refs)
-        buffer(a);
+    for (uint32_t capacity : test::kBlockCapacities) {
+        trace::ColumnarTraceBuffer buffer(capacity);
+        for (const auto &a : refs)
+            buffer(a);
 
-    dse::SimBank bank(space);
-    EXPECT_TRUE(bank.extended());
-    bank.simulate(buffer, nullptr);
+        dse::SimBank bank(space);
+        EXPECT_TRUE(bank.extended());
+        bank.simulate(buffer, nullptr);
 
-    for (const auto &cfg : space.enumerate()) {
-        ASSERT_TRUE(bank.covers(cfg)) << cfg.name();
-        cache::CacheSim ref(cfg);
-        buffer.replay(ref);
-        EXPECT_EQ(bank.misses(cfg),
-                  static_cast<double>(ref.misses()))
-            << cfg.name();
-        EXPECT_EQ(bank.writeTraffic(cfg),
-                  static_cast<double>(ref.writeTraffic()))
-            << cfg.name();
+        for (const auto &cfg : space.enumerate()) {
+            ASSERT_TRUE(bank.covers(cfg)) << cfg.name();
+            cache::CacheSim ref(cfg);
+            for (const auto &a : refs)
+                ref(a);
+            EXPECT_EQ(bank.misses(cfg),
+                      static_cast<double>(ref.misses()))
+                << cfg.name() << " block capacity " << capacity;
+            EXPECT_EQ(bank.writeTraffic(cfg),
+                      static_cast<double>(ref.writeTraffic()))
+                << cfg.name() << " block capacity " << capacity;
+        }
     }
 }
 
@@ -292,37 +296,37 @@ TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)
 {
     // Serial fused decode, 2 jobs, 8 jobs: identical misses and
     // write traffic for every extended-space cell, and identical to
-    // the row-wise replay.
+    // the same simulators fed one reference at a time.
     auto space = extendedSpace();
     auto refs = randomWriteTrace(555, 3);
-    trace::TraceBuffer rows;
-    trace::ColumnarTraceBuffer cols(/*block_capacity=*/128);
-    for (const auto &a : refs) {
-        rows(a);
-        cols(a);
-    }
+    test::PerReferenceBank row_bank(space, refs);
+    for (uint32_t capacity : test::kBlockCapacities) {
+        trace::ColumnarTraceBuffer cols(capacity);
+        for (const auto &a : refs)
+            cols(a);
 
-    dse::SimBank row_bank(space);
-    row_bank.simulate(rows, nullptr);
-    dse::SimBank serial(space);
-    serial.simulate(cols, nullptr);
-    for (const auto &cfg : space.enumerate()) {
-        EXPECT_EQ(serial.misses(cfg), row_bank.misses(cfg))
-            << cfg.name();
-        EXPECT_EQ(serial.writeTraffic(cfg),
-                  row_bank.writeTraffic(cfg))
-            << cfg.name();
-    }
-    for (unsigned jobs : {2u, 8u}) {
-        support::ThreadPool pool(jobs);
-        dse::SimBank parallel(space);
-        parallel.simulate(cols, &pool);
+        dse::SimBank serial(space);
+        serial.simulate(cols, nullptr);
         for (const auto &cfg : space.enumerate()) {
-            EXPECT_EQ(parallel.misses(cfg), serial.misses(cfg))
-                << cfg.name() << " jobs=" << jobs;
-            EXPECT_EQ(parallel.writeTraffic(cfg),
-                      serial.writeTraffic(cfg))
-                << cfg.name() << " jobs=" << jobs;
+            EXPECT_EQ(serial.misses(cfg), row_bank.misses(cfg))
+                << cfg.name() << " block capacity " << capacity;
+            EXPECT_EQ(serial.writeTraffic(cfg),
+                      row_bank.writeTraffic(cfg))
+                << cfg.name() << " block capacity " << capacity;
+        }
+        for (unsigned jobs : {2u, 8u}) {
+            support::ThreadPool pool(jobs);
+            dse::SimBank parallel(space);
+            parallel.simulate(cols, &pool);
+            for (const auto &cfg : space.enumerate()) {
+                EXPECT_EQ(parallel.misses(cfg), serial.misses(cfg))
+                    << cfg.name() << " jobs=" << jobs
+                    << " block capacity " << capacity;
+                EXPECT_EQ(parallel.writeTraffic(cfg),
+                          serial.writeTraffic(cfg))
+                    << cfg.name() << " jobs=" << jobs
+                    << " block capacity " << capacity;
+            }
         }
     }
 }

@@ -13,13 +13,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <future>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "server/Client.hpp"
 #include "server/EvalService.hpp"
@@ -724,6 +731,91 @@ TEST(ServerSocket, ClientGivesUpCleanlyWhenServerAbsent)
               client.retries());
     EXPECT_EQ(client.transportFailures(), 3u); // one per attempt
     EXPECT_EQ(client.shedSeen(), 0u);
+}
+
+/** Connect a bare client socket (no traffic); -1 on failure. */
+int
+connectRaw(const std::string &path)
+{
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/**
+ * One server life under connection churn: brief connections close
+ * while others stay open, then stop() must return in time. False
+ * when it did not (the held clients are closed to unblock it).
+ */
+bool
+stopReturnsUnderChurn(const std::string &sock)
+{
+    EvalService service(fastOptions());
+    server::Server srv(sock, &service);
+    std::thread accept_thread([&] { srv.run(); });
+
+    constexpr uint64_t held_count = 300, churners = 3;
+    constexpr uint64_t brief_each = 300;
+    std::vector<std::thread> churn;
+    for (uint64_t t = 0; t < churners; ++t) {
+        churn.emplace_back([&sock] {
+            for (uint64_t i = 0; i < brief_each; ++i) {
+                int brief = connectRaw(sock);
+                if (brief >= 0)
+                    ::close(brief);
+            }
+        });
+    }
+    std::vector<int> held;
+    for (uint64_t i = 0; i < held_count; ++i) {
+        int fd = connectRaw(sock);
+        if (fd >= 0)
+            held.push_back(fd);
+    }
+    for (auto &t : churn)
+        t.join();
+    // Wait until every connection has its handler, so the held ones
+    // are registered before stop().
+    const uint64_t total = held_count + churners * brief_each;
+    for (int i = 0; i < 1000 && srv.connections() < total; ++i)
+        support::sleepForMs(5);
+    EXPECT_EQ(srv.connections(), total);
+    EXPECT_EQ(held.size(), held_count);
+
+    auto stopped = std::async(std::launch::async, [&] { srv.stop(); });
+    bool in_time = stopped.wait_for(std::chrono::seconds(10)) ==
+                   std::future_status::ready;
+    // Closing the clients unblocks any handler stop() missed, so a
+    // failure reports instead of hanging.
+    for (int fd : held)
+        ::close(fd);
+    stopped.wait();
+    accept_thread.join();
+    return in_time;
+}
+
+TEST(ServerSocket, StopShutsDownConnectionsAcceptedOnReusedFds)
+{
+    // A brief connection's handler closes its fd, and accept() may
+    // hand that number straight to a connection that stays open. If
+    // the handler dropped its fd from the server's list by value only
+    // after closing it, it would drop the live connection too; stop()
+    // would never shut it down and would wait on the client. The race
+    // is narrow, so the server lives several times.
+    std::string sock = tempPath("picoeval_reuse.sock");
+    for (int life = 0; life < 5; ++life)
+        EXPECT_TRUE(stopReturnsUnderChurn(sock))
+            << "stop() missed a live connection in life " << life;
 }
 
 // ---------------------------------------------------------------

@@ -8,8 +8,11 @@
 
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/BitUtils.hpp"
+#include "support/Flags.hpp"
 #include "support/Logging.hpp"
 #include "support/Random.hpp"
 #include "support/Stats.hpp"
@@ -261,6 +264,97 @@ TEST(TextTable, CsvOutput)
     std::ostringstream oss;
     table.printCsv(oss);
     EXPECT_EQ(oss.str(), "a,b\n1,2\n");
+}
+
+/** Parse a command line given as words (argv[0] included). */
+void
+parseWords(support::Flags &flags, std::vector<std::string> words)
+{
+    std::vector<char *> argv;
+    for (auto &w : words)
+        argv.push_back(w.data());
+    argv.push_back(nullptr);
+    flags.parse(static_cast<int>(words.size()), argv.data());
+}
+
+TEST(Flags, ParsesBothValueFormsAndPositionals)
+{
+    std::string app, out = "default";
+    unsigned jobs = 1;
+    uint64_t ms = 0;
+    double cost = 0.0;
+    support::Flags flags("prog", "usage: prog");
+    flags.positional("app", &app);
+    flags.count("--jobs", &jobs, 0, 16);
+    flags.count("--ms", &ms);
+    flags.number("--cost", &cost);
+    flags.text("--out", &out);
+    parseWords(flags, {"prog", "--jobs", "4", "rasta", "--ms=250",
+                       "--cost=2.5"});
+    EXPECT_EQ(app, "rasta");
+    EXPECT_EQ(jobs, 4u);
+    EXPECT_EQ(ms, 250u);
+    EXPECT_EQ(cost, 2.5);
+    EXPECT_EQ(out, "default");
+}
+
+TEST(Flags, ListsDropEmptyItemsAndAppendAfterTheFirst)
+{
+    EXPECT_EQ(support::splitList(",a,,b,"),
+              (std::vector<std::string>{"a", "b"}));
+    EXPECT_TRUE(support::splitList(",,").empty());
+
+    std::vector<std::string> apps = {"rasta", "epic"};
+    support::Flags flags("prog", "usage: prog");
+    flags.list("--apps", &apps);
+    parseWords(flags, {"prog", "--apps", "unepic,", "--apps=,gcc"});
+    EXPECT_EQ(apps, (std::vector<std::string>{"unepic", "gcc"}));
+}
+
+TEST(Flags, SwitchTakesNoSeparateValue)
+{
+    int verify = -1, chaos = 1, unset = -1;
+    std::string app;
+    support::Flags flags("prog", "usage: prog");
+    flags.toggle("--verify", &verify);
+    flags.toggle("--chaos", &chaos);
+    flags.toggle("--unset", &unset);
+    flags.positional("app", &app);
+    parseWords(flags, {"prog", "--verify", "rasta", "--chaos=0"});
+    EXPECT_EQ(verify, 1);
+    EXPECT_EQ(chaos, 0);
+    EXPECT_EQ(unset, -1);
+    EXPECT_EQ(app, "rasta");
+}
+
+TEST(Flags, MisuseExitsTwoWithTheUsageLine)
+{
+    auto misuse = [](std::vector<std::string> words) {
+        unsigned jobs = 0;
+        int verify = -1;
+        std::string input;
+        support::Flags flags("prog", "usage: prog <input>");
+        flags.count("--jobs", &jobs, 1, 8);
+        flags.toggle("--verify", &verify);
+        flags.positional("input", &input, true);
+        words.insert(words.begin(), "prog");
+        parseWords(flags, words);
+    };
+    for (const std::vector<std::string> &words :
+         std::vector<std::vector<std::string>>{
+             {"in", "--jobs", "9"},
+             {"in", "--jobs=0"},
+             {"in", "--jobs", "4x"},
+             {"in", "--jobs"},
+             {"in", "--verify=yes"},
+             {"in", "--nope"},
+             {"in", "extra"},
+             {"--jobs", "2"}}) {
+        EXPECT_EXIT(misuse(words), testing::ExitedWithCode(2),
+                    "prog: .*\nusage: prog <input>")
+            << words.back();
+    }
+    EXPECT_EXIT(misuse({"--help"}), testing::ExitedWithCode(0), "");
 }
 
 } // namespace

@@ -2,18 +2,15 @@
  * @file
  * End-to-end exit-code contract of the trace_convert tool: scripts
  * depend on distinguishing bad usage (2) from corrupt input (3) from
- * I/O failure (4) from success (0). The tool binary's path arrives
- * via the TRACE_CONVERT_BIN compile definition.
+ * I/O failure (4) from success (0).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
-#include <sys/wait.h>
-
+#include "CliRun.hpp"
 #include "trace/TraceFile.hpp"
 
 namespace pico
@@ -31,12 +28,7 @@ tempPath(const std::string &name)
 int
 runTool(const std::string &args)
 {
-    std::string cmd = std::string(TRACE_CONVERT_BIN) + " " + args +
-                      " >/dev/null 2>&1";
-    int status = std::system(cmd.c_str());
-    if (status == -1 || !WIFEXITED(status))
-        return -1;
-    return WEXITSTATUS(status);
+    return test::runExample("trace_convert", args).exitCode;
 }
 
 /** A small, valid v2 trace file. */
