@@ -5,13 +5,13 @@
  * associativities in a single pass costs little more than simulating
  * one configuration, and far less than per-configuration passes.
  *
- * Plus the parallel companion: one single-pass sweep is needed *per
- * line size*, and those sweeps are independent, so the SimBank runs
- * them concurrently on a ThreadPool. BM_ParallelLineSweeps measures
- * that sweep — over the production columnar trace path — at 1, 2 and
- * 4 jobs (real time; jobs = 1 is the serial fused reference —
- * speedup is hardware-dependent and only shows on multi-core
- * machines).
+ * Plus the parallel companion: one single-pass simulator is needed
+ * *per line size*, and the simulators are independent, so the
+ * SimBank decodes each block once and feeds the simulators
+ * concurrently on a ThreadPool. BM_ParallelLineSweeps measures that
+ * sweep — over the production columnar trace path — at 1, 2 and 4
+ * jobs (real time; jobs = 1 runs the same sweep inline — speedup is
+ * hardware-dependent and only shows on multi-core machines).
  *
  * The run times of every benchmark are harvested into
  * BENCH_cheetah_speedup.json (honoring --json-out) together with the

@@ -10,12 +10,17 @@ namespace pico::core::ahh
 namespace
 {
 
-/** log of the generalized binomial coefficient C(n, a), real n. */
+/**
+ * log of the generalized binomial coefficient C(n, a), real n. Uses
+ * lgamma_r: std::lgamma writes the global signgam, a data race when
+ * Pareto sets are built on several threads.
+ */
 double
 logBinomialCoeff(double n, uint32_t a)
 {
-    return std::lgamma(n + 1.0) - std::lgamma(a + 1.0) -
-           std::lgamma(n - a + 1.0);
+    int sign = 0;
+    return ::lgamma_r(n + 1.0, &sign) - ::lgamma_r(a + 1.0, &sign) -
+           ::lgamma_r(n - a + 1.0, &sign);
 }
 
 } // namespace

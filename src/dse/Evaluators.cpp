@@ -11,6 +11,10 @@ namespace pico::dse
 namespace
 {
 
+// Blocks per sweep step: 8 default blocks are ~300 KB of decoded
+// columns, which stay cache-resident while every simulator reads them.
+constexpr size_t sweepChunkBlocks = 8;
+
 void
 feedBlock(cache::SinglePassSim &sim, const trace::BlockView &view)
 {
@@ -23,7 +27,7 @@ feedBlock(cache::SetResidentSim &sim, const trace::BlockView &view)
     sim.accessBlock(view.addrs, view.kinds, view.count);
 }
 
-/** Span/metric tag of one sweep: `line<N>` or `<policy>.line<N>`. */
+/** Metric tag of one simulator: `line<N>` or `<policy>.line<N>`. */
 std::string
 sweepTag(const cache::SinglePassSim &sim)
 {
@@ -98,64 +102,41 @@ SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
                   support::ThreadPool *pool,
                   const support::CancelToken *cancel)
 {
+    support::TimedSpan span("sweep.fused", "sweep");
     const size_t blocks = buffer.blockCount();
-    if (pool == nullptr || pool->workers() == 0) {
-        // Fused serial sweep: each block is decoded exactly once and
-        // the materialized address span feeds every line-size
-        // simulator back to back — the single-pass structure of the
-        // paper taken one level further (one pass over the *encoded*
-        // trace for the whole bank).
-        support::TimedSpan span("sweep.fused", "sweep");
-        trace::BlockScratch scratch;
-        for (size_t b = 0; b < blocks; ++b) {
-            if (cancel != nullptr)
-                cancel->checkpoint("SimBank::simulate");
-            trace::BlockView view = buffer.decodeBlock(b, scratch);
-            for (auto &sim : sims_)
-                feedBlock(sim, view);
-            for (auto &sim : policySims_)
-                feedBlock(sim, view);
-        }
-        PICO_METRIC_COUNT("sweep.runs", simRuns());
-        if (support::metricsEnabled()) {
-            for (const auto &sim : sims_) {
-                support::metrics()
-                    .counter("sweep." + sweepTag(sim) + ".accesses")
-                    .add(buffer.size());
-            }
-        }
-        return;
-    }
-    // One task per simulator (Cheetah ones first, then set-resident
-    // ones). Each task owns one simulator plus a private decode
-    // scratch, so tasks share only the immutable encoded blocks, no
-    // merge step is needed and the result cannot depend on the
-    // schedule. Each sweep reports its own span and access count,
-    // keyed by line size — the unit the paper's efficiency claim is
-    // stated in (simulations = distinct line sizes, not configs).
-    auto sweep = [&](auto &sim) {
-        std::string tag = sweepTag(sim);
-        support::TimedSpan span("sweep." + tag, "sweep");
-        trace::BlockScratch scratch;
-        for (size_t b = 0; b < blocks; ++b) {
-            if (cancel != nullptr)
-                cancel->checkpoint("SimBank::simulate");
-            feedBlock(sim, buffer.decodeBlock(b, scratch));
-        }
-        PICO_METRIC_COUNT("sweep.runs", 1);
-        if (support::metricsEnabled()) {
-            support::metrics()
-                .counter("sweep." + tag + ".accesses")
-                .add(buffer.size());
-        }
-    };
-    support::parallelFor(
-        sims_.size() + policySims_.size(), pool, [&](size_t i) {
-            if (i < sims_.size())
-                sweep(sims_[i]);
-            else
-                sweep(policySims_[i - sims_.size()]);
+    std::vector<trace::BlockScratch> scratch(
+        std::min(blocks, sweepChunkBlocks));
+    std::vector<trace::BlockView> views(scratch.size());
+    for (size_t first = 0; first < blocks; first += sweepChunkBlocks) {
+        if (cancel != nullptr)
+            cancel->checkpoint("SimBank::simulate");
+        const size_t count = std::min(sweepChunkBlocks, blocks - first);
+        support::parallelFor(count, pool, [&](size_t i) {
+            views[i] = buffer.decodeBlock(first + i, scratch[i]);
         });
+        auto feedChunk = [&](auto &sim) {
+            for (size_t i = 0; i < count; ++i)
+                feedBlock(sim, views[i]);
+        };
+        support::parallelFor(simRuns(), pool, [&](size_t s) {
+            if (s < sims_.size())
+                feedChunk(sims_[s]);
+            else
+                feedChunk(policySims_[s - sims_.size()]);
+        });
+    }
+    PICO_METRIC_COUNT("sweep.runs", simRuns());
+    if (support::metricsEnabled()) {
+        auto countAccesses = [&](const auto &sim) {
+            support::metrics()
+                .counter("sweep." + sweepTag(sim) + ".accesses")
+                .add(buffer.size());
+        };
+        for (const auto &sim : sims_)
+            countAccesses(sim);
+        for (const auto &sim : policySims_)
+            countAccesses(sim);
+    }
 }
 
 bool

@@ -82,16 +82,14 @@ class SimBank
     static std::vector<uint32_t> contractedLines(const CacheSpace &space);
 
     /**
-     * Run every line-size simulator over a columnar trace. Serial
-     * (null/zero-worker pool): the fused path decodes each block
-     * once and the decoded span feeds *all* simulators while it is
-     * hot. Parallel: one task per line size, each decoding into its
-     * own scratch. Either way each simulator sees the identical
-     * address sequence, so miss counts equal per-reference access()
-     * calls and do not depend on the schedule. The cancel token is
-     * checked once per encoded block; cancellation unwinds with
-     * CancelledError and leaves the bank unusable for misses()
-     * queries (the caller discards it).
+     * Run every simulator over a columnar trace in one pass, a small
+     * chunk of blocks at a time: each block is decoded once, then
+     * every simulator consumes the chunk in block order (decodes and
+     * simulators fan out on `pool`; a null or zero-worker pool runs
+     * the same loop inline). Miss counts equal per-reference access()
+     * calls whatever the pool. The cancel token is checked once per
+     * chunk; cancellation unwinds with CancelledError and leaves the
+     * bank unusable for misses() queries (the caller discards it).
      */
     void simulate(const trace::ColumnarTraceBuffer &buffer,
                   support::ThreadPool *pool,
@@ -155,11 +153,11 @@ class IcacheEvaluator
                                  core::defaultIGranule);
 
     /**
-     * One pass over the reference instruction trace. The per-line-
-     * size simulator sweeps run concurrently on `pool` (null =
-     * serial; results are identical either way). A cancel token
-     * aborts mid-capture or mid-sweep with CancelledError; the
-     * evaluator then stays in the not-evaluated state.
+     * One pass over the reference instruction trace; the bank's
+     * simulators run concurrently on `pool` (null = serial; results
+     * are identical either way). A cancel token aborts mid-capture or
+     * mid-sweep with CancelledError; the evaluator then stays in the
+     * not-evaluated state.
      */
     void evaluate(const TraceSource &ref_instr_trace,
                   support::ThreadPool *pool = nullptr,

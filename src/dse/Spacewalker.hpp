@@ -80,8 +80,8 @@ class MemoryWalker
 
     /**
      * Evaluate all three subsystems from reference traces, one pass
-     * each. With a thread pool attached, the per-line-size Cheetah
-     * sweeps of each subsystem run concurrently. A cancel token
+     * each. With a thread pool attached, each sweep decodes a block
+     * once and runs its simulators concurrently. A cancel token
      * aborts mid-pass with CancelledError; the walker is then only
      * partially evaluated and must be discarded.
      */

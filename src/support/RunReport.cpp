@@ -11,11 +11,7 @@ namespace pico::support
 std::string
 buildVersion()
 {
-#if defined(PICOEVAL_GIT_DESCRIBE)
-    return PICOEVAL_GIT_DESCRIBE;
-#else
-    return "unknown";
-#endif
+    return detail::buildDescribe;
 }
 
 void

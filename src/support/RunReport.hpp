@@ -29,6 +29,12 @@ namespace pico::support
 /** `git describe` of this build ("unknown" outside a git checkout). */
 std::string buildVersion();
 
+namespace detail
+{
+/** buildVersion()'s text, NUL-padded (defined in BuildIdentity.cpp). */
+extern const char buildDescribe[64];
+} // namespace detail
+
 /** Collects run configuration and serializes it with a snapshot. */
 class RunReport
 {

@@ -3,10 +3,10 @@
  * Minimal deterministic-friendly thread pool and parallel loop.
  *
  * The exploration pipeline is embarrassingly parallel at three
- * levels (per-line-size Cheetah passes, per-machine compiles,
- * per-design dilation extrapolation), but every parallel phase must
- * produce *bit-identical* results to the serial walk. The primitives
- * here are built for that contract:
+ * levels (SimBank block decodes and simulators, per-machine
+ * compiles, per-design dilation extrapolation), but every parallel
+ * phase must produce *bit-identical* results to the serial walk.
+ * The primitives here are built for that contract:
  *
  *  - ThreadPool is a fixed set of worker threads draining one FIFO
  *    queue; a pool with zero workers is valid and makes every

@@ -2,9 +2,10 @@
  * @file
  * Test reference for dse::SimBank: the same simulators the bank
  * builds for a space, fed one reference at a time through access().
- * The bank's columnar sweeps (fused serial decode or one task per
- * simulator) must reproduce these counts exactly, at every block
- * capacity; the per-config CacheSim oracle checks both independently.
+ * The bank's columnar sweep (each block decoded once, then fed to
+ * every simulator, inline or on a pool) must reproduce these counts
+ * exactly, at every block capacity; the per-config CacheSim oracle
+ * checks both independently.
  */
 
 #ifndef PICO_TESTS_PER_REFERENCE_BANK_HPP

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "cache/CacheSim.hpp"
@@ -15,6 +16,18 @@
 
 namespace pico::cache
 {
+
+/**
+ * Print a config by its fields (e.g. 16KB/2way/32B), which also names
+ * the parameterized tests: gtest's default printer dumps the struct's
+ * bytes, uninitialized padding included.
+ */
+static void
+PrintTo(const CacheConfig &config, std::ostream *os)
+{
+    *os << config.name();
+}
+
 namespace
 {
 

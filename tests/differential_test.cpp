@@ -123,9 +123,9 @@ oracleMisses(const cache::CacheConfig &cfg,
 
 TEST(Differential, SimBankParallelSweepMatchesDirectSims)
 {
-    // The parallel per-line-size sweep must agree with direct
+    // The sweep on a 4-worker pool must agree with direct
     // CacheSim runs for every configuration the bank covers — this
-    // ties the thread-pool path itself to the external oracle.
+    // ties the pooled sweep to the external oracle.
     dse::CacheSpace space;
     space.sizesBytes = {2048, 4096, 8192};
     space.assocs = {1, 2, 4};
@@ -201,10 +201,9 @@ TEST(Differential, ColumnarReplayMatchesRowReplayAcrossCacheSpace)
 
 TEST(Differential, CancelledSweepThrowsAndFreshBankStillMatches)
 {
-    // A cancelled token unwinds both sweep paths — the serial fused
-    // decode and one pool task per simulator — and leaves the
-    // buffer untouched: a fresh bank over it still matches the
-    // oracle.
+    // A cancelled token unwinds the sweep at its first chunk, with
+    // or without a pool, and leaves the buffer untouched: a fresh
+    // bank over it still matches the oracle.
     dse::CacheSpace space;
     space.sizesBytes = {2048, 8192};
     space.assocs = {1, 2};

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "cache/SetResidentSim.hpp"
 #include "cache/SinglePassSim.hpp"
 #include "dse/Evaluators.hpp"
+#include "support/Metrics.hpp"
 #include "support/Random.hpp"
 #include "support/ThreadPool.hpp"
 #include "trace/ColumnarTrace.hpp"
@@ -292,11 +294,31 @@ TEST(PolicyMatrix, SimBankRoutesEveryCellToTheOracle)
     }
 }
 
+/** The sweep.* counters one SimBank::simulate call emits. */
+std::map<std::string, uint64_t>
+sweepCounters(dse::SimBank &bank,
+              const trace::ColumnarTraceBuffer &cols,
+              support::ThreadPool *pool)
+{
+    auto &metrics = support::metrics();
+    metrics.resetValues();
+    support::setMetricsEnabled(true);
+    bank.simulate(cols, pool);
+    support::setMetricsEnabled(false);
+    std::map<std::string, uint64_t> sweep;
+    for (const auto &[name, value] : metrics.snapshot().counters) {
+        if (name.rfind("sweep.", 0) == 0 && value != 0)
+            sweep[name] = value;
+    }
+    return sweep;
+}
+
 TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)
 {
-    // Serial fused decode, 2 jobs, 8 jobs: identical misses and
-    // write traffic for every extended-space cell, and identical to
-    // the same simulators fed one reference at a time.
+    // Serial, 2, 4 and 8 jobs: identical misses and write traffic
+    // for every extended-space cell, identical to the same
+    // simulators fed one reference at a time, and identical sweep
+    // metrics (one accesses counter per simulator).
     auto space = extendedSpace();
     auto refs = randomWriteTrace(555, 3);
     test::PerReferenceBank row_bank(space, refs);
@@ -306,7 +328,10 @@ TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)
             cols(a);
 
         dse::SimBank serial(space);
-        serial.simulate(cols, nullptr);
+        auto serial_counters = sweepCounters(serial, cols, nullptr);
+        EXPECT_EQ(serial_counters["sweep.runs"], serial.simRuns());
+        EXPECT_EQ(serial_counters["sweep.fifo.line16.accesses"],
+                  refs.size());
         for (const auto &cfg : space.enumerate()) {
             EXPECT_EQ(serial.misses(cfg), row_bank.misses(cfg))
                 << cfg.name() << " block capacity " << capacity;
@@ -314,10 +339,12 @@ TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)
                       row_bank.writeTraffic(cfg))
                 << cfg.name() << " block capacity " << capacity;
         }
-        for (unsigned jobs : {2u, 8u}) {
+        for (unsigned jobs : {2u, 4u, 8u}) {
             support::ThreadPool pool(jobs);
             dse::SimBank parallel(space);
-            parallel.simulate(cols, &pool);
+            EXPECT_EQ(sweepCounters(parallel, cols, &pool),
+                      serial_counters)
+                << "jobs=" << jobs << " block capacity " << capacity;
             for (const auto &cfg : space.enumerate()) {
                 EXPECT_EQ(parallel.misses(cfg), serial.misses(cfg))
                     << cfg.name() << " jobs=" << jobs
